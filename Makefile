@@ -3,10 +3,10 @@
 # over the idle-skip determinism suite and the config-validation /
 # cancellation-determinism suites (fast, and the properties the event-driven
 # core rework and the run-session lifecycle depend on), and a race-detector
-# pass over the packages that run goroutines (the phased parallel simulation
-# loop and the experiment prewarm fan-out). The race pass uses -short
-# because the detector slows simulation ~10x; the short subset still drives
-# the full phased loop.
+# pass over the packages that run goroutines (the relaxed epoch-parallel
+# simulation loop and the experiment prewarm fan-out). The race pass uses
+# -short because the detector slows simulation ~10x; the short subset still
+# drives the full relaxed loop.
 
 GO ?= go
 
@@ -36,25 +36,28 @@ skipdet:
 valcancel:
 	$(GO) test -run 'TestConfig|TestValidate|TestNormalize|TestNewSession|TestCancel|TestDeadline' . ./internal/gpu
 
-# The -short root pass also drives the relaxed epoch loop (accuracy-envelope
-# subset + determinism), and internal/gpu's relaxed worker-invariance and
+# The -short root pass drives the relaxed epoch loop (accuracy-envelope
+# subset, worker-count determinism, cancellation, telemetry bit-identity,
+# trace replay), and internal/gpu's relaxed worker-invariance and
 # startup-order tests all run in short mode, so the detector covers the
-# epoch-parallel commit path.
+# epoch-parallel compute phase and its serial commit.
 race:
 	$(GO) test -race -short . ./internal/gpu ./internal/experiments
 
 # Relaxed-loop differential oracle: the full 17-workload x 2-architecture
 # accuracy envelope against the serial loop plus the (Workers, EpochCycles)
 # determinism contract — root-level over real workloads, internal/gpu-level
-# for worker-startup-order and functional-correctness properties.
+# for worker-startup-order, functional-correctness and worker-resolution
+# properties (including the rejection of Workers without an epoch).
 relaxdet:
-	$(GO) test -run 'TestRelaxed|TestResolveWorkers' . ./internal/gpu
+	$(GO) test -run 'TestRelaxed|TestResolveWorkers|TestWorkersRequireEpoch' . ./internal/gpu
 
 # Trace capture/replay gate: the internal/trace codec unit tests (round-trip,
 # truncation/version/CRC rejection, unknown-section skip) plus the root-level
 # capture→replay determinism suite — every builtin workload captured and
-# replayed byte-identically (Result + telemetry) under serial and phased
-# loops, content-hash key stability, and parallel-loop capture rejection.
+# replayed byte-identically (Result + telemetry) against a live run on the
+# same loop, serial and relaxed, content-hash key stability, and
+# relaxed-loop capture rejection.
 # Runs the full 17-workload x 2-architecture sweep (~20 s).
 tracedet:
 	$(GO) test ./internal/trace
@@ -84,9 +87,9 @@ bench-serve:
 	$(GO) test -bench ServeThroughput -benchtime 1x -run '^$$' .
 
 # Regenerates the simulator-performance snapshots: BENCH_core.json
-# (event-driven core loop: serial-noskip baseline vs skip vs skip+workers)
-# and BENCH_parallel.json (serial vs phased-loop speedup at several worker
-# counts).
+# (event-driven core loop: serial-noskip baseline vs serial with idle skip)
+# and BENCH_parallel.json (serial vs relaxed-loop speedup at two epoch
+# lengths and several worker counts).
 bench:
 	$(GO) test -bench 'ParallelSpeedup|CoreSpeedup' -benchtime 1x -run '^$$' .
 
@@ -98,8 +101,9 @@ bench-parallel:
 # typed errors, canonicalization round-trip, schema sanity, byte-identical
 # builds), the workload-spec grammar tests (ParseSpec + the FuzzParseSpec
 # seed corpus), and the root-level calibration suite — dial accuracy over
-# the ≥20-vector grid on both architectures, serial/phased agreement, and
-# the GOMAXPROCS determinism gate. The race pass is scaled down to the
+# the ≥20-vector grid on both architectures, serial/relaxed agreement on
+# every executed-program counter, relaxed worker-count bit-identity, and the
+# GOMAXPROCS determinism gate. The race pass is scaled down to the
 # cheap unit layers; the root race coverage comes from the `race` target's
 # -short pass.
 gendet:

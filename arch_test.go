@@ -1,9 +1,6 @@
 package gscalar
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestArchSemantics pins what each public architecture is allowed to
 // detect: compression-only modes report no scalar eligibility, the prior
@@ -18,7 +15,7 @@ func TestArchSemantics(t *testing.T) {
 
 	res := map[Arch]Result{}
 	for _, a := range AllArchs() {
-		r, err := RunWorkloadContext(context.Background(), cfg, a, bench, 1)
+		r, err := runWorkloadVia(t, cfg, a, bench, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -280,11 +280,10 @@ func BenchmarkAblationScalarBank(b *testing.B) {
 	}
 }
 
-// timedRun simulates one workload point and reports the wall-clock seconds
-// it took alongside the Result.
-func timedRun(b *testing.B, abbr string, workers int, disableSkip bool) (gscalar.Result, float64) {
+// timedRun simulates one workload point under cfg and reports the
+// wall-clock seconds it took alongside the Result.
+func timedRun(b *testing.B, cfg gscalar.Config, abbr string) (gscalar.Result, float64) {
 	b.Helper()
-	cfg := benchCfg(workers, disableSkip)
 	t0 := time.Now()
 	res, err := runWorkloadVia(b, cfg, gscalar.GScalar, abbr, *benchScale)
 	if err != nil {
@@ -293,41 +292,47 @@ func timedRun(b *testing.B, abbr string, workers int, disableSkip bool) (gscalar
 	return res, time.Since(t0).Seconds()
 }
 
-// benchCfg is the exact configuration a timedRun point simulates; its
-// canonical Hash is recorded in each snapshot row so a BENCH file can be
-// matched unambiguously to the configuration that produced it.
-func benchCfg(workers int, disableSkip bool) gscalar.Config {
+// benchCfg is the exact serial-loop configuration a timedRun point
+// simulates; its canonical Hash is recorded in each snapshot row so a BENCH
+// file can be matched unambiguously to the configuration that produced it.
+func benchCfg(disableSkip bool) gscalar.Config {
 	cfg := gscalar.DefaultConfig()
-	cfg.Workers = workers
 	cfg.DisableIdleSkip = disableSkip
 	return cfg
 }
 
-// parallelSnapshot is one row of BENCH_parallel.json: one parallel loop
-// (phased per-cycle, or relaxed at a given epoch length) at one worker
-// count, measured against the legacy serial loop on the same workload.
-// host_cores matters — on a single-core host no loop can beat the serial
-// one and speedup_vs_serial ~1/overhead is expected; the multi-worker rows
-// exist so a multi-core host's numbers land in review without editing the
-// harness. cycle_delta_pct (relaxed rows only) is the simulated-cycle
-// deviation from the serial oracle; identical_results asserts bit-identity
-// with the loop's own workers=1 run, which holds for every mode — for the
-// relaxed loop worker count is pure execution parallelism and only
-// EpochCycles is a model parameter.
+// relaxedBenchCfg is benchCfg on the relaxed loop with the given worker
+// count and epoch length, in normalized form.
+func relaxedBenchCfg(workers, epoch int) gscalar.Config {
+	cfg := benchCfg(false)
+	cfg.Relaxed = true
+	cfg.EpochCycles = epoch
+	cfg.Workers = workers
+	return cfg
+}
+
+// parallelSnapshot is one row of BENCH_parallel.json: the relaxed loop at
+// one epoch length and worker count, measured against the serial loop on
+// the same workload. host_cores matters — with fewer cores than workers the
+// extra workers only add coordination overhead; the multi-worker rows exist
+// so a multi-core host's numbers land in review without editing the
+// harness. cycle_delta_pct is the simulated-cycle deviation from the serial
+// oracle; identical_results asserts bit-identity with the workers=1 run at
+// the same epoch length — worker count is pure execution parallelism and
+// only EpochCycles is a model parameter.
 type parallelSnapshot struct {
 	Workload         string  `json:"workload"`
 	Arch             string  `json:"arch"`
 	ConfigHash       string  `json:"config_hash"`
 	Scale            int     `json:"scale"`
 	HostCores        int     `json:"host_cores"`
-	Mode             string  `json:"mode"`
-	EpochCycles      int     `json:"epoch_cycles,omitempty"`
+	EpochCycles      int     `json:"epoch_cycles"`
 	Workers          int     `json:"workers"`
 	Cycles           uint64  `json:"cycles"`
 	SerialSeconds    float64 `json:"serial_seconds"`
 	ParallelSeconds  float64 `json:"parallel_seconds"`
 	SpeedupVsSerial  float64 `json:"speedup_vs_serial"`
-	CycleDeltaPct    float64 `json:"cycle_delta_pct,omitempty"`
+	CycleDeltaPct    float64 `json:"cycle_delta_pct"`
 	IdenticalResults bool    `json:"identical_results"`
 }
 
@@ -338,25 +343,11 @@ type parallelBench struct {
 	Rows []parallelSnapshot `json:"rows"`
 }
 
-// timedRunEpoch is timedRun on the relaxed loop at the given epoch length.
-func timedRunEpoch(b *testing.B, abbr string, workers, epoch int) (gscalar.Result, float64) {
-	b.Helper()
-	cfg := benchCfg(workers, false)
-	cfg.EpochCycles = epoch
-	t0 := time.Now()
-	res, err := runWorkloadVia(b, cfg, gscalar.GScalar, abbr, *benchScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res, time.Since(t0).Seconds()
-}
-
 // BenchmarkParallelSpeedup measures, for the three largest workloads (HS,
-// LBM, MG), the legacy serial loop against the phased per-cycle loop and
-// the relaxed epoch loop (epochs 64 and 256) at worker counts 1, 2, 4, 8,
-// checks each loop's worker-count determinism on the way, records the
-// relaxed rows' cycle deviation from the serial oracle, and writes every
-// point to BENCH_parallel.json:
+// LBM, MG), the serial loop against the relaxed epoch loop (epochs 64 and
+// 256) at worker counts 1, 2, 4, 8, checks the relaxed loop's worker-count
+// determinism on the way, records each row's cycle deviation from the
+// serial oracle, and writes every point to BENCH_parallel.json:
 //
 //	go test -bench ParallelSpeedup -benchtime 1x -run '^$'
 //
@@ -376,57 +367,36 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 		snaps = snaps[:0]
 		bestRelaxed = 0
 		for _, abbr := range workloads {
-			serial, serialSec := timedRun(b, abbr, 0, false)
-			row := func(mode string, epoch, workers int, res gscalar.Result, sec float64, hash string) parallelSnapshot {
-				snap := parallelSnapshot{
-					Workload:        abbr,
-					Arch:            gscalar.GScalar.String(),
-					ConfigHash:      hash,
-					Scale:           *benchScale,
-					HostCores:       cores,
-					Mode:            mode,
-					EpochCycles:     epoch,
-					Workers:         workers,
-					Cycles:          res.Cycles,
-					SerialSeconds:   serialSec,
-					ParallelSeconds: sec,
-					SpeedupVsSerial: serialSec / sec,
-				}
-				if mode == "relaxed" {
-					snap.CycleDeltaPct = math.Abs(float64(res.Cycles)-float64(serial.Cycles)) /
-						float64(serial.Cycles) * 100
-				}
-				return snap
-			}
-			// Each loop's workers=1 run is its determinism reference; the
-			// serial loop is a different machine (stores become visible
-			// within the issuing cycle) and serves as the timing oracle.
-			var phasedRef gscalar.Result
-			relaxedRef := map[int]gscalar.Result{}
-			for wi, workers := range workerPoints {
-				par, parSec := timedRun(b, abbr, workers, false)
-				if wi == 0 {
-					phasedRef = par
-				} else if !reflect.DeepEqual(stripExecMeta(phasedRef), stripExecMeta(par)) {
-					b.Fatalf("%s: phased loop nondeterministic: workers=%d differs from workers=%d",
-						abbr, workers, workerPoints[0])
-				}
-				snap := row("phased", 0, workers, par, parSec, benchCfg(workers, false).Hash())
-				snap.IdenticalResults = true
-				snaps = append(snaps, snap)
-
-				for _, epoch := range epochs {
-					rel, relSec := timedRunEpoch(b, abbr, workers, epoch)
+			serial, serialSec := timedRun(b, benchCfg(false), abbr)
+			for _, epoch := range epochs {
+				// The workers=1 run is the determinism reference; the
+				// serial loop is a different machine (exact shared-memory
+				// timing) and serves as the timing oracle.
+				var ref gscalar.Result
+				for wi, workers := range workerPoints {
+					cfg := relaxedBenchCfg(workers, epoch)
+					rel, relSec := timedRun(b, cfg, abbr)
 					if wi == 0 {
-						relaxedRef[epoch] = rel
-					} else if !reflect.DeepEqual(stripExecMeta(relaxedRef[epoch]), stripExecMeta(rel)) {
+						ref = rel
+					} else if !reflect.DeepEqual(stripExecMeta(ref), stripExecMeta(rel)) {
 						b.Fatalf("%s: relaxed loop (epoch=%d) nondeterministic: workers=%d differs from workers=%d",
 							abbr, epoch, workers, workerPoints[0])
 					}
-					cfg := benchCfg(workers, false)
-					cfg.EpochCycles = epoch
-					snap := row("relaxed", epoch, workers, rel, relSec, cfg.Hash())
-					snap.IdenticalResults = true
+					snap := parallelSnapshot{
+						Workload:         abbr,
+						Arch:             gscalar.GScalar.String(),
+						ConfigHash:       cfg.Hash(),
+						Scale:            *benchScale,
+						HostCores:        cores,
+						EpochCycles:      epoch,
+						Workers:          workers,
+						Cycles:           rel.Cycles,
+						SerialSeconds:    serialSec,
+						ParallelSeconds:  relSec,
+						SpeedupVsSerial:  serialSec / relSec,
+						CycleDeltaPct:    math.Abs(float64(rel.Cycles)-float64(serial.Cycles)) / float64(serial.Cycles) * 100,
+						IdenticalResults: true,
+					}
 					snaps = append(snaps, snap)
 					if snap.SpeedupVsSerial > bestRelaxed {
 						bestRelaxed = snap.SpeedupVsSerial
@@ -439,16 +409,13 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	b.ReportMetric(bestRelaxed, "best-relaxed-speedup")
 	b.ReportMetric(float64(cores), "cores")
 	doc := parallelBench{
-		Note: "speedup_vs_serial is wall-clock of the legacy serial loop over the row's loop " +
-			"on the same workload. host_cores=1 on this container: every loop shares one core, " +
-			"so all speedups measure coordination overhead only (~1x is the ceiling) — the " +
-			"workers=2/4/8 rows exist so a multi-core host's numbers land by rerunning " +
-			"`make bench-parallel`, where the relaxed loop's once-per-epoch barrier is " +
-			"designed to scale and the phased loop's per-cycle barrier is the contrast. " +
-			"identical_results is bit-identity with the same loop at workers=1 (worker count " +
-			"never changes simulation output in either mode); relaxed rows additionally " +
-			"record cycle_delta_pct, the simulated-cycle deviation from the serial oracle " +
-			"(bounded by the envelope asserted in relaxed_test.go).",
+		Note: "speedup_vs_serial is wall-clock of the serial loop over the row's relaxed " +
+			"loop on the same workload, single sample. With fewer host_cores than workers " +
+			"the extra workers only add coordination overhead; rerun `make bench-parallel` " +
+			"on a larger host to measure scaling. identical_results is bit-identity with " +
+			"the relaxed loop at workers=1 and the same epoch (worker count never changes " +
+			"simulation output); cycle_delta_pct is the simulated-cycle deviation from the " +
+			"serial oracle (bounded by the envelope asserted in relaxed_test.go).",
 		Rows: snaps,
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
@@ -470,7 +437,6 @@ type coreSnapshot struct {
 	Scale      int     `json:"scale"`
 	HostCores  int     `json:"host_cores"`
 	Mode       string  `json:"mode"`
-	Workers    int     `json:"workers"`
 	IdleSkip   bool    `json:"idle_skip"`
 	Cycles     uint64  `json:"cycles"`
 	Seconds    float64 `json:"seconds"`
@@ -550,11 +516,11 @@ type coreBench struct {
 // BenchmarkCoreSpeedup measures the SM core loop's simulator performance
 // across the full Table 2 suite: every workload runs on the serial loop with
 // idle skipping disabled (the closest reproducible stand-in for the old
-// per-cycle full-scan loop) and then with skipping enabled on the serial and
-// phased loops. All modes must produce bit-identical Results — the speedup
-// is free. Each row also carries speedup_vs_prev: wall-clock against the
-// tree before the SoA/branchless execution rework (see soaBaseline), whose
-// suite total the soa_rework_reference block summarises. Regenerate with:
+// per-cycle full-scan loop) and then with skipping enabled. Both modes must
+// produce bit-identical Results — the speedup is free. Each row also
+// carries speedup_vs_prev: wall-clock against the tree before the
+// SoA/branchless execution rework (see soaBaseline), whose suite total the
+// soa_rework_reference block summarises. Regenerate with:
 //
 //	go test -bench CoreSpeedup -benchtime 1x -run '^$'
 //
@@ -573,12 +539,12 @@ func BenchmarkCoreSpeedup(b *testing.B) {
 		suiteBefore, suiteAfter = 0, 0
 		for _, abbr := range workloads {
 			prev := soaBaseline[abbr]
-			base, baseSec := timedRun(b, abbr, 0, true)
-			add := func(mode string, workers int, skip bool, res gscalar.Result, sec float64) {
+			base, baseSec := timedRun(b, benchCfg(true), abbr)
+			add := func(mode string, skip bool, res gscalar.Result, sec float64) {
 				snap := coreSnapshot{
 					Workload: abbr, Arch: gscalar.GScalar.String(),
-					ConfigHash: benchCfg(workers, !skip).Hash(), Scale: *benchScale,
-					HostCores: cores, Mode: mode, Workers: workers, IdleSkip: skip,
+					ConfigHash: benchCfg(!skip).Hash(), Scale: *benchScale,
+					HostCores: cores, Mode: mode, IdleSkip: skip,
 					Cycles: res.Cycles, Seconds: sec, Speedup: baseSec / sec,
 				}
 				if prev > 0 && *benchScale == 1 {
@@ -586,14 +552,14 @@ func BenchmarkCoreSpeedup(b *testing.B) {
 				}
 				snaps = append(snaps, snap)
 			}
-			add("serial-noskip", 0, false, base, baseSec)
-			res, sec := timedRun(b, abbr, 0, false)
+			add("serial-noskip", false, base, baseSec)
+			res, sec := timedRun(b, benchCfg(false), abbr)
 			// Skipping must be invisible in the results: bit-identical to
 			// the same loop run cycle by cycle.
 			if !reflect.DeepEqual(base, res) {
 				b.Fatalf("%s: serial skip-enabled result differs from skip-disabled", abbr)
 			}
-			add("serial-skip", 0, true, res, sec)
+			add("serial-skip", true, res, sec)
 			if prev > 0 {
 				suiteBefore += prev
 				suiteAfter += sec
@@ -604,28 +570,15 @@ func BenchmarkCoreSpeedup(b *testing.B) {
 			if abbr == "LBM" {
 				lbmSpeedup = baseSec / sec
 			}
-			phased1, sec1 := timedRun(b, abbr, 1, false)
-			add("phased-skip", 1, true, phased1, sec1)
-			if cores > 1 {
-				phasedN, secN := timedRun(b, abbr, cores, false)
-				// Phased runs must agree with each other across worker
-				// counts (the serial loop differs in same-cycle store
-				// visibility, so it is the timing baseline, not the
-				// phased reference).
-				if !reflect.DeepEqual(stripExecMeta(phased1), stripExecMeta(phasedN)) {
-					b.Fatalf("%s: phased loop nondeterministic across worker counts", abbr)
-				}
-				add("phased-skip", cores, true, phasedN, secN)
-			}
 		}
 	}
 	// Trace capture/replay overhead on three representative workloads:
 	// divergence-heavy (HS), memory-bound (LBM), loop/gather-heavy (MV).
 	replayWl := map[string]replayMeas{}
 	for _, abbr := range []string{"HS", "LBM", "MV"} {
-		liveRes, liveSec := timedRun(b, abbr, 0, false)
+		liveRes, liveSec := timedRun(b, benchCfg(false), abbr)
 		path := filepath.Join(b.TempDir(), abbr+".gstr")
-		s, err := gscalar.NewSession(benchCfg(0, false), gscalar.GScalar)
+		s, err := gscalar.NewSession(benchCfg(false), gscalar.GScalar)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -640,7 +593,7 @@ func BenchmarkCoreSpeedup(b *testing.B) {
 			b.Fatal(err)
 		}
 		t0 = time.Now()
-		repRes, err := runWorkloadVia(b, benchCfg(0, false), gscalar.GScalar, "trace:"+path, *benchScale)
+		repRes, err := runWorkloadVia(b, benchCfg(false), gscalar.GScalar, "trace:"+path, *benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,13 +11,11 @@ import (
 	"gscalar"
 )
 
-// cancelledRun executes workload abbr with an observer that cancels the
-// context at the first lifecycle checkpoint at or past cancelAt simulated
-// cycles, returning the partial result.
-func cancelledRun(t *testing.T, workers int, abbr string, cancelAt uint64) gscalar.Result {
+// cancelledRun executes workload abbr under cfg with an observer that
+// cancels the context at the first lifecycle checkpoint at or past cancelAt
+// simulated cycles, returning the partial result.
+func cancelledRun(t *testing.T, cfg gscalar.Config, abbr string, cancelAt uint64) gscalar.Result {
 	t.Helper()
-	cfg := gscalar.DefaultConfig()
-	cfg.Workers = workers
 	s, err := gscalar.NewSession(cfg, gscalar.GScalar)
 	if err != nil {
 		t.Fatal(err)
@@ -32,24 +30,26 @@ func cancelledRun(t *testing.T, workers int, abbr string, cancelAt uint64) gscal
 	}
 	res, err := s.RunWorkload(ctx, abbr, 1)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		t.Fatalf("relaxed=%v: err = %v, want context.Canceled", cfg.Relaxed, err)
 	}
 	if !strings.Contains(err.Error(), abbr) || !strings.Contains(err.Error(), "gscalar") {
-		t.Errorf("workers=%d: error %q lacks workload/architecture context", workers, err)
+		t.Errorf("relaxed=%v: error %q lacks workload/architecture context", cfg.Relaxed, err)
 	}
 	return res
 }
 
 // TestCancellationDeterminism cancels the same run at the same simulated
-// cycle twice — under both the serial loop (Workers=0) and the phased loop
-// (Workers=8) — and requires bit-identical partial results. The cut point is
+// cycle twice — under both the serial loop and the relaxed loop with eight
+// workers — and requires bit-identical partial results. The cut point is
 // defined by an observer in simulated time, so it does not depend on host
 // timing.
 func TestCancellationDeterminism(t *testing.T) {
 	const abbr = "HS"
-	for _, workers := range []int{0, 8} {
+	for _, relaxed := range []bool{false, true} {
 		cfg := gscalar.DefaultConfig()
-		cfg.Workers = workers
+		if relaxed {
+			cfg.Relaxed, cfg.Workers = true, 8
+		}
 		full, err := runWorkloadVia(t, cfg, gscalar.GScalar, abbr, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -59,17 +59,17 @@ func TestCancellationDeterminism(t *testing.T) {
 		}
 		cancelAt := full.Cycles / 2
 
-		a := cancelledRun(t, workers, abbr, cancelAt)
-		b := cancelledRun(t, workers, abbr, cancelAt)
+		a := cancelledRun(t, cfg, abbr, cancelAt)
+		b := cancelledRun(t, cfg, abbr, cancelAt)
 		if a.Cycles == 0 || a.Cycles >= full.Cycles {
-			t.Errorf("workers=%d: partial run spans %d cycles, full run %d", workers, a.Cycles, full.Cycles)
+			t.Errorf("relaxed=%v: partial run spans %d cycles, full run %d", relaxed, a.Cycles, full.Cycles)
 		}
 		if a.PowerW <= 0 || a.EnergyJ <= 0 {
-			t.Errorf("workers=%d: partial power not finalized: %f W, %f J", workers, a.PowerW, a.EnergyJ)
+			t.Errorf("relaxed=%v: partial power not finalized: %f W, %f J", relaxed, a.PowerW, a.EnergyJ)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("workers=%d: cancelling at cycle %d twice gave different partial results:\n%+v\nvs\n%+v",
-				workers, cancelAt, a, b)
+			t.Errorf("relaxed=%v: cancelling at cycle %d twice gave different partial results:\n%+v\nvs\n%+v",
+				relaxed, cancelAt, a, b)
 		}
 	}
 }

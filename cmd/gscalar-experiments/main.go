@@ -10,7 +10,7 @@
 // Usage:
 //
 //	gscalar-experiments [-exp all|fig1|fig8|fig9|fig10|fig11|fig12|table1|table2|table3|moves]
-//	                    [-scale N] [-sms N] [-bench BP,LBM,...] [-parallel N] [-workers N]
+//	                    [-scale N] [-sms N] [-bench BP,LBM,...] [-parallel N] [-relaxed] [-workers N]
 //	                    [-config chip.json] [-dump-config] [-timeout 10m]
 //	                    [-metrics-out DIR] [-metrics-format json|csv] [-chrome-trace DIR]
 //	                    [-trace-out DIR] [-cpuprofile exp.pprof] [-memprofile exp.mprof]
@@ -58,7 +58,7 @@ func main() {
 	chromeTrace := flag.String("chrome-trace", "", "write per-point Chrome trace-event files into this directory")
 	traceOut := flag.String("trace-out", "", "capture every freshly simulated point as a replayable execution trace (.gstr) in this directory (serial loop only)")
 	parallel := flag.Int("parallel", 1, "simulate up to N (arch, workload) points concurrently; output is identical to -parallel 1")
-	workers := flag.Int("workers", 0, "phased-loop compute workers per simulation (0 = legacy serial loop, -1 = one per host core)")
+	workers := flag.Int("workers", 0, "relaxed-loop workers per simulation; requires -relaxed (-1 = one per host core)")
 	relaxed := flag.Bool("relaxed", false, "use the epoch-based relaxed-sync parallel loop (deterministic, not bit-identical to serial; scales with -workers)")
 	epoch := flag.Int("epoch", 0, "relaxed-loop epoch length in simulated cycles (implies -relaxed; 0 with -relaxed = default 64)")
 	configPath := flag.String("config", "", "load the chip configuration from this JSON file (explicit flags override it)")

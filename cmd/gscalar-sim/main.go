@@ -3,8 +3,8 @@
 // shares, scalar-eligibility decomposition, RF access classes, and
 // compression statistics. A workload is either a Table 2 benchmark
 // abbreviation, a captured execution trace ("trace:<path>"), or a calibrated
-// synthetic kernel ("gen:div=0.3,sfu=0.2,..."; -list-workloads prints the
-// dial schema).
+// synthetic kernel ("gen:div=0.3,sfu=0.2,..."; -list prints the dial
+// schema).
 //
 // The chip configuration can be loaded from a JSON file (-config); flags
 // given explicitly on the command line override the file. -dump-config
@@ -19,7 +19,7 @@
 //	            [-config chip.json] [-dump-config] [-timeout 30s] [-progress N]
 //	            [-metrics-out m.json] [-metrics-format json|csv] [-chrome-trace t.json]
 //	            [-trace-out w.gstr] [-sample-stride N] [-noskip]
-//	            [-cpuprofile sim.pprof] [-memprofile sim.mprof] [-list-workloads]
+//	            [-relaxed] [-epoch N] [-cpuprofile sim.pprof] [-memprofile sim.mprof] [-list]
 //
 // With -metrics-out the run's final counters and sampled time series are
 // written as JSON (or CSV with -metrics-format csv); -chrome-trace emits a
@@ -29,7 +29,7 @@
 // -trace-out captures the run as a replayable execution trace (written
 // atomically after a successful run): replay it anywhere with
 // -workload trace:<file>, under any architecture or chip loop, and the
-// replayed result is byte-identical to the live run. Capture requires the
+// replayed result is byte-identical to a live run on the same loop. Capture requires the
 // serial loop and a single workload (not -all).
 package main
 
@@ -53,18 +53,14 @@ import (
 )
 
 func main() {
-	var workload string
-	flag.StringVar(&workload, "workload", "", "workload spec: a benchmark abbreviation, trace:<path>, or gen:<dials> (see -list-workloads)")
-	flag.StringVar(&workload, "bench", "", "deprecated alias of -workload")
+	workload := flag.String("workload", "", "workload spec: a benchmark abbreviation, trace:<path>, or gen:<dials> (see -list)")
 	archName := flag.String("arch", "gscalar", "architecture: "+strings.Join(gscalar.ArchNames(), ", "))
 	scale := flag.Int("scale", 1, "workload scale factor")
 	sms := flag.Int("sms", 0, "override number of SMs")
-	var list bool
-	flag.BoolVar(&list, "list", false, "list builtin workloads and exit")
-	flag.BoolVar(&list, "list-workloads", false, "alias of -list")
+	list := flag.Bool("list", false, "list builtin workloads and the gen: dial schema, then exit")
 	breakdown := flag.Bool("breakdown", false, "print the per-component power breakdown")
 	all := flag.Bool("all", false, "run every Table 2 benchmark and print a summary table")
-	workers := flag.Int("workers", 0, "phased-loop compute workers (0 = legacy serial loop, -1 = one per host core)")
+	workers := flag.Int("workers", 0, "relaxed-loop workers; requires -relaxed (-1 = one per host core)")
 	relaxed := flag.Bool("relaxed", false, "use the epoch-based relaxed-sync parallel loop (deterministic, not bit-identical to serial; scales with -workers)")
 	epoch := flag.Int("epoch", 0, "relaxed-loop epoch length in simulated cycles (implies -relaxed; 0 with -relaxed = default 64)")
 	noskip := flag.Bool("noskip", false, "disable event-driven idle-cycle skipping (results are identical either way)")
@@ -80,12 +76,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile of the simulator to this file")
 	flag.Parse()
-
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "bench" {
-			fmt.Fprintln(os.Stderr, "gscalar-sim: -bench is deprecated, use -workload")
-		}
-	})
 
 	if *metricsFormat != "json" && *metricsFormat != "csv" {
 		fmt.Fprintf(os.Stderr, "gscalar-sim: unknown -metrics-format %q (want json or csv)\n", *metricsFormat)
@@ -103,7 +93,7 @@ func main() {
 	}
 	defer prof.Stop()
 
-	if list {
+	if *list {
 		for _, abbr := range gscalar.Workloads() {
 			w, _ := gscalar.WorkloadByAbbr(abbr)
 			fmt.Printf("%-4s %-11s %-8s %s\n", w.Abbr, w.Name, w.Suite, w.Desc)
@@ -181,8 +171,8 @@ func main() {
 		runAll(ctx, cfg, arch, *scale, telemetry, *metricsOut, *metricsFormat, *chromeTrace)
 		return
 	}
-	if workload == "" {
-		fatal(fmt.Errorf("missing -workload (use -list-workloads to see options)"))
+	if *workload == "" {
+		fatal(fmt.Errorf("missing -workload (use -list to see options)"))
 	}
 
 	s, err := gscalar.NewSession(cfg, arch)
@@ -199,14 +189,14 @@ func main() {
 				p.Cycle, p.WarpInsts, p.LiveSMs, time.Since(start).Seconds())
 		}
 	}
-	res, err := s.RunWorkload(ctx, workload, *scale)
+	res, err := s.RunWorkload(ctx, *workload, *scale)
 	if err != nil && !isCancel(err) {
 		fatal(err)
 	}
 	if isCancel(err) {
 		fmt.Fprintf(os.Stderr, "gscalar-sim: %v — printing partial statistics\n", err)
 	}
-	printResult(workload, arch, *scale, cfg, res, *breakdown)
+	printResult(*workload, arch, *scale, cfg, res, *breakdown)
 	// A cancelled run still flushes the partial series collected so far.
 	if m := s.Metrics(); m != nil {
 		if werr := writeTelemetry(gscalar.MetricsSet{m}, *metricsOut, *metricsFormat, *chromeTrace); werr != nil {

@@ -22,7 +22,7 @@ const DefaultEpochCycles = 64
 // (DefaultConfig values), so a sparse configuration — e.g. a JSON file that
 // only overrides NumSMs — denotes "Table 1 with these changes". MaxCycles,
 // Workers, and DisableIdleSkip keep their zero values: zero is meaningful
-// for all three (default bound, legacy serial loop, skipping enabled). The
+// for all three (default bound, one relaxed worker, skipping enabled). The
 // relaxed-mode pair is canonicalized: a positive EpochCycles implies
 // Relaxed, and Relaxed without an epoch length takes DefaultEpochCycles, so
 // the two spellings of the same simulation hash identically.
@@ -91,6 +91,9 @@ func (e *ConfigError) Error() string {
 func (c Config) Validate() error {
 	bad := func(field, format string, args ...any) error {
 		return &ConfigError{Field: field, Reason: fmt.Sprintf(format, args...)}
+	}
+	if c.Workers != 0 && !c.Relaxed {
+		return bad("Workers", "%d workers need the relaxed loop (set Relaxed); the serial loop takes no workers", c.Workers)
 	}
 	if c.NumSMs < 1 {
 		return bad("NumSMs", "need at least 1 SM, got %d", c.NumSMs)

@@ -37,6 +37,8 @@ func TestValidateInvalid(t *testing.T) {
 		{"zero channels", func(c *Config) { c.MemChannels = -1 }, "MemChannels"},
 		{"negative epoch", func(c *Config) { c.EpochCycles = -64 }, "EpochCycles"},
 		{"relaxed without epoch", func(c *Config) { c.Relaxed = true }, "EpochCycles"},
+		{"workers without relaxed", func(c *Config) { c.Workers = 4 }, "Workers"},
+		{"all-core workers without relaxed", func(c *Config) { c.Workers = -1 }, "Workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,6 +59,36 @@ func TestValidateInvalid(t *testing.T) {
 				t.Errorf("message %q does not name the field", err)
 			}
 		})
+	}
+}
+
+// TestValidateWorkersNeedRelaxed pins the meaning of Workers: it is the
+// relaxed loop's worker count and nothing else, so a worker count without
+// Relaxed is rejected — bare, normalized, or through NewSession — and one
+// with Relaxed (or with the epoch length that implies it) is accepted.
+func TestValidateWorkersNeedRelaxed(t *testing.T) {
+	bare := Config{Workers: 4}
+	normalized := bare
+	normalized.Normalize()
+	_, sessErr := NewSession(bare, GScalar)
+	for name, err := range map[string]error{
+		"Validate":           bare.Validate(),
+		"Normalize+Validate": normalized.Validate(),
+		"NewSession":         sessErr,
+	} {
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: error %v is not a *ConfigError", name, err)
+		}
+		if ce.Field != "Workers" || !strings.Contains(ce.Reason, "Relaxed") {
+			t.Errorf("%s: error %v should blame Workers and point at Relaxed", name, err)
+		}
+	}
+
+	for _, cfg := range []Config{{Workers: 4, Relaxed: true}, {Workers: 4, EpochCycles: 128}} {
+		if _, err := NewSession(cfg, GScalar); err != nil {
+			t.Errorf("%+v rejected: %v", cfg, err)
+		}
 	}
 }
 
@@ -108,7 +140,7 @@ func TestNormalizeFillsDefaults(t *testing.T) {
 // pair: a positive EpochCycles implies Relaxed, Relaxed without an epoch
 // length takes DefaultEpochCycles, and the two spellings of the same mode
 // hash identically after Normalize. EpochCycles=0 without Relaxed must stay
-// zero (phased/serial selection is untouched).
+// zero (the serial loop stays selected).
 func TestNormalizeEpochCycles(t *testing.T) {
 	c := DefaultConfig()
 	c.EpochCycles = 128

@@ -2,7 +2,6 @@ package gscalar_test
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -87,7 +86,7 @@ func TestGenDialAccuracy(t *testing.T) {
 			arch := arch
 			t.Run(fmt.Sprintf("%s/%s", arch, spec), func(t *testing.T) {
 				t.Parallel()
-				res, err := gscalar.RunWorkloadContext(context.Background(), cfg, arch, "gen:"+spec, 1)
+				res, err := runWorkloadVia(t, cfg, arch, "gen:"+spec, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,21 +124,13 @@ func TestGenDialAccuracy(t *testing.T) {
 	}
 }
 
-// stripPower clears the power/energy aggregates, whose floating-point
-// summation order differs between the serial and phased chip loops. Every
-// simulated counter and counter-derived share must still match exactly.
-func stripPower(r gscalar.Result) gscalar.Result {
-	r.PowerW, r.IPCPerW, r.EnergyJ = 0, 0, 0
-	r.ExecPowerShare, r.RFPowerShare, r.RFDynamicJ = 0, 0, 0
-	r.PowerByComponent = nil
-	return r
-}
-
-// TestGenPhasedMatchesSerial: a generated workload is as deterministic as a
-// builtin — the phased parallel loop reproduces every simulated counter of
-// the serial loop exactly (so the dials hold on both loops), and phased
-// runs are bit-identical across worker counts, power floats included.
-func TestGenPhasedMatchesSerial(t *testing.T) {
+// TestGenRelaxedMatchesSerial: a generated workload is as deterministic as
+// a builtin. The relaxed loop perturbs timing only, so it reproduces every
+// executed-program counter of the serial loop exactly — instruction counts,
+// the instruction mix, the divergence fraction, the eligibility shares and
+// the RF read classes — and the dials hold on both loops. Relaxed runs are
+// bit-identical across worker counts, power included.
+func TestGenRelaxedMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs")
 	}
@@ -148,26 +139,42 @@ func TestGenPhasedMatchesSerial(t *testing.T) {
 		"gen:div=0.3,sfu=0.2,mem=0.2,coal=0.5,r3=0.18,r1=0.1,occ=0.2",
 		"gen:mem=0.3,r3=0.25,rs=0.25,seed=42,occ=0.2",
 	}
-	run := func(spec string, workers int) gscalar.Result {
+	run := func(spec string, relaxed bool, workers int) gscalar.Result {
 		t.Helper()
 		cfg := gscalar.DefaultConfig()
+		cfg.Relaxed = relaxed
 		cfg.Workers = workers
-		res, err := gscalar.RunWorkloadContext(context.Background(), cfg, gscalar.GScalar, spec, 1)
+		res, err := runWorkloadVia(t, cfg, gscalar.GScalar, spec, 1)
 		if err != nil {
-			t.Fatalf("%s (workers=%d): %v", spec, workers, err)
+			t.Fatalf("%s (relaxed=%v, workers=%d): %v", spec, relaxed, workers, err)
 		}
 		return res
 	}
 	for _, spec := range specs {
-		serial := run(spec, 0)
-		phased := run(spec, 4)
-		if !reflect.DeepEqual(stripPower(stripExecMeta(serial)), stripPower(stripExecMeta(phased))) {
-			t.Errorf("%s: phased loop diverged from serial:\nserial: %+v\nphased: %+v",
-				spec, stripPower(serial), stripPower(phased))
+		serial := run(spec, false, 0)
+		relaxed := run(spec, true, 4)
+		if relaxed.ExecMode != "relaxed" {
+			t.Fatalf("%s: ExecMode = %q, want relaxed", spec, relaxed.ExecMode)
 		}
-		one := run(spec, 1)
-		if !reflect.DeepEqual(stripExecMeta(one), stripExecMeta(phased)) {
-			t.Errorf("%s: phased results differ between 1 and 4 workers", spec)
+		if relaxed.WarpInsts != serial.WarpInsts || relaxed.ThreadInsts != serial.ThreadInsts {
+			t.Errorf("%s: instruction counts diverged: warp %d vs serial %d, thread %d vs serial %d",
+				spec, relaxed.WarpInsts, serial.WarpInsts, relaxed.ThreadInsts, serial.ThreadInsts)
+		}
+		if relaxed.InstMix != serial.InstMix {
+			t.Errorf("%s: instruction mix %+v vs serial %+v", spec, relaxed.InstMix, serial.InstMix)
+		}
+		if relaxed.FracDivergent != serial.FracDivergent {
+			t.Errorf("%s: divergent fraction %v vs serial %v", spec, relaxed.FracDivergent, serial.FracDivergent)
+		}
+		if relaxed.Eligibility != serial.Eligibility {
+			t.Errorf("%s: eligibility %+v vs serial %+v", spec, relaxed.Eligibility, serial.Eligibility)
+		}
+		if relaxed.RFAccess != serial.RFAccess {
+			t.Errorf("%s: RF read classes %+v vs serial %+v", spec, relaxed.RFAccess, serial.RFAccess)
+		}
+		one := run(spec, true, 1)
+		if !reflect.DeepEqual(stripExecMeta(one), stripExecMeta(relaxed)) {
+			t.Errorf("%s: relaxed results differ between 1 and 4 workers:\n%+v\nvs\n%+v", spec, one, relaxed)
 		}
 	}
 }

@@ -20,9 +20,7 @@
 // A Session is the single entry point: it validates the (config,
 // architecture) pair once and carries the run-scoped options — progress
 // observation (Observer), metric collection (Telemetry, exported through
-// Metrics as JSON, CSV, or a Chrome trace), and context cancellation. The
-// RunContext / RunWorkloadContext / RunSequenceContext free functions wrap
-// a one-shot Session over the same path.
+// Metrics as JSON, CSV, or a Chrome trace), and context cancellation.
 //
 // Workload specs accept three forms everywhere a workload is named: a
 // Table 2 builtin abbreviation ("BP"), a captured trace ("trace:<path>"),
@@ -148,27 +146,25 @@ type Config struct {
 	L2Bytes         int     // shared L2 (Table 1: 768 KB)
 	MemChannels     int     // DRAM channels (Table 1: 6)
 	MaxCycles       uint64  // abort bound; 0 = default
-	// Workers selects the simulation loop. 0 (default) is the legacy
-	// serial loop. Any other value runs the deterministic phased loop with
-	// that many host compute workers (negative = one per host core); every
-	// non-zero value produces bit-identical results, so Workers only trades
-	// wall-clock time. See docs/architecture.md, "Parallel execution
+	// Workers is the relaxed loop's host compute-worker count (negative =
+	// one per host core; 0 = one). It requires Relaxed: the serial loop
+	// takes no workers, and Validate rejects Workers != 0 without Relaxed.
+	// Every worker count produces bit-identical results, so Workers only
+	// trades wall-clock time. See docs/architecture.md, "Parallel execution
 	// model".
 	Workers int
 	// Relaxed selects the epoch-based relaxed-synchronization loop: workers
 	// advance their SMs up to EpochCycles simulated cycles between
-	// rendezvous over the shared L2/DRAM system instead of barriering every
-	// cycle, which is what lets multi-worker simulation actually scale.
-	// Unlike the phased loop its results are not bit-identical to the serial
-	// oracle — they carry a small, measured timing delta (see
-	// docs/architecture.md, "Relaxed epoch-parallel execution") — but a
-	// fixed EpochCycles value is deterministic across repeated runs and
-	// every worker count.
+	// rendezvous over the shared L2/DRAM system, which is what lets
+	// multi-worker simulation scale. Its results are not bit-identical to
+	// the serial loop (the oracle) — they carry a small, measured timing
+	// delta (see docs/architecture.md, "Relaxed epoch-parallel execution")
+	// — but a fixed EpochCycles value is deterministic across repeated runs
+	// and every worker count. Unset, the serial loop runs.
 	Relaxed bool
 	// EpochCycles is the relaxed loop's epoch length in simulated cycles.
 	// 0 with Relaxed set takes DefaultEpochCycles; a positive value implies
-	// Relaxed (Normalize canonicalizes the pair); 0 without Relaxed keeps
-	// the per-cycle loops selected by Workers. Shorter epochs track the
+	// Relaxed (Normalize canonicalizes the pair). Shorter epochs track the
 	// serial oracle more closely, longer ones synchronize less often.
 	EpochCycles int
 	// DisableIdleSkip turns off event-driven idle-cycle skipping (on by
@@ -205,12 +201,12 @@ func (c Config) toGPU() gpu.Config {
 	g.CoreClockHz = c.CoreClockHz
 	g.L2Bytes = c.L2Bytes
 	g.MaxCycles = c.MaxCycles
-	g.Workers = c.Workers
 	if c.Relaxed {
 		g.EpochCycles = c.EpochCycles
 		if g.EpochCycles == 0 {
 			g.EpochCycles = DefaultEpochCycles
 		}
+		g.Workers = c.Workers
 	}
 	g.DisableIdleSkip = c.DisableIdleSkip
 	g.MemTiming.NumChannels = c.MemChannels
@@ -293,12 +289,12 @@ type Result struct {
 	// "dram", "static", ...) to watts.
 	PowerByComponent map[string]float64 `json:"power_by_component"`
 
-	// ExecMode ("serial", "phased", or "relaxed") and ResolvedWorkers record
-	// how the run actually executed — the chip loop and the compute-worker
-	// count after the crossover heuristics — so benches and callers can
-	// assert what ran rather than what was requested. They describe the
-	// execution, not the simulated machine: serial, phased, and every phased
-	// worker count produce bit-identical simulation outputs.
+	// ExecMode ("serial" or "relaxed") and ResolvedWorkers record how the
+	// run actually executed — the chip loop and the resolved compute-worker
+	// count — so benches and callers can assert what ran rather than what
+	// was requested. They describe the execution, not the simulated
+	// machine: every relaxed worker count produces bit-identical simulation
+	// outputs.
 	ExecMode        string `json:"exec_mode,omitempty"`
 	ResolvedWorkers int    `json:"resolved_workers,omitempty"`
 }

@@ -10,6 +10,23 @@ import (
 
 func errorsAs(err error, target any) bool { return errors.As(err, target) }
 
+// newTestSession builds a Session, failing the test on an invalid config.
+func newTestSession(t testing.TB, cfg Config, arch Arch) *Session {
+	t.Helper()
+	s, err := NewSession(cfg, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// runWorkloadVia simulates one workload through a fresh Session; it mirrors
+// the external test package's helper of the same name.
+func runWorkloadVia(t testing.TB, cfg Config, arch Arch, abbr string, scale int) (Result, error) {
+	t.Helper()
+	return newTestSession(t, cfg, arch).RunWorkload(context.Background(), abbr, scale)
+}
+
 func TestDefaultConfigMatchesTable1(t *testing.T) {
 	c := DefaultConfig()
 	checks := []struct {
@@ -56,7 +73,7 @@ func TestArchNames(t *testing.T) {
 }
 
 func TestRunWorkloadUnknown(t *testing.T) {
-	_, err := RunWorkloadContext(context.Background(), DefaultConfig(), GScalar, "NOPE", 1)
+	_, err := runWorkloadVia(t, DefaultConfig(), GScalar, "NOPE", 1)
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -127,7 +144,7 @@ func TestAssembleAndRunCustomKernel(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.NumSMs = 2
-	res, err := RunContext(context.Background(), cfg, GScalar, prog, launch, mem)
+	res, err := newTestSession(t, cfg, GScalar).Run(context.Background(), prog, launch, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +187,7 @@ func TestRunFunctionalMatchesTimed(t *testing.T) {
 	l2 := launchFor(m2)
 	cfg := DefaultConfig()
 	cfg.NumSMs = 1
-	if _, err := RunContext(context.Background(), cfg, Baseline, prog, l2, m2); err != nil {
+	if _, err := newTestSession(t, cfg, Baseline).Run(context.Background(), prog, l2, m2); err != nil {
 		t.Fatal(err)
 	}
 	a := m1.ReadU32(l1.Params[0], n)
@@ -188,7 +205,7 @@ func TestTooManyParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	launch := Launch{GridX: 1, BlockX: 32, Params: make([]uint32, 17)}
-	if _, err := RunContext(context.Background(), DefaultConfig(), Baseline, prog, launch, NewMemory()); err == nil {
+	if _, err := newTestSession(t, DefaultConfig(), Baseline).Run(context.Background(), prog, launch, NewMemory()); err == nil {
 		t.Fatal("expected params-limit error")
 	}
 }
@@ -203,7 +220,7 @@ func TestPowerCalibration(t *testing.T) {
 		t.Skip("full workload run")
 	}
 	cfg := DefaultConfig()
-	res, err := RunWorkloadContext(context.Background(), cfg, Baseline, "MM", 1)
+	res, err := runWorkloadVia(t, cfg, Baseline, "MM", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +231,7 @@ func TestPowerCalibration(t *testing.T) {
 		t.Errorf("MM RF share = %.2f, want 0.08..0.35", res.RFPowerShare)
 	}
 	// BP: the paper reports >100 W total and SFU-dominated execution.
-	bp, err := RunWorkloadContext(context.Background(), cfg, Baseline, "BP", 1)
+	bp, err := runWorkloadVia(t, cfg, Baseline, "BP", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,15 +257,15 @@ func TestHeadlineResults(t *testing.T) {
 	var base, alu, full, ipcBase, ipcFull float64
 	var aluElig, fullElig float64
 	for _, b := range benches {
-		rb, err := RunWorkloadContext(context.Background(), cfg, Baseline, b, 1)
+		rb, err := runWorkloadVia(t, cfg, Baseline, b, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra, err := RunWorkloadContext(context.Background(), cfg, ALUScalar, b, 1)
+		ra, err := runWorkloadVia(t, cfg, ALUScalar, b, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rg, err := RunWorkloadContext(context.Background(), cfg, GScalar, b, 1)
+		rg, err := runWorkloadVia(t, cfg, GScalar, b, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +300,7 @@ func TestResultDerivedFields(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload run")
 	}
-	res, err := RunWorkloadContext(context.Background(), DefaultConfig(), GScalar, "ST", 1)
+	res, err := runWorkloadVia(t, DefaultConfig(), GScalar, "ST", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,15 @@ func (s *Suite) runCustomArch(abbr string, arch sm.Arch) (gpu.Result, error) {
 	pub := s.r.o.Config
 	cfg.NumSMs = pub.NumSMs
 	cfg.CoreClockHz = pub.CoreClockHz
-	cfg.Workers = pub.Workers
+	// The chip loop lowers as a pair, as gscalar.Config does: relaxed takes
+	// its epoch and workers, serial takes neither.
+	if pub.Relaxed {
+		cfg.EpochCycles = pub.EpochCycles
+		if cfg.EpochCycles == 0 {
+			cfg.EpochCycles = gscalar.DefaultEpochCycles
+		}
+		cfg.Workers = pub.Workers
+	}
 	res, err := gpu.RunContext(s.r.ctx, cfg, arch, inst.Prog, inst.Launch, inst.Mem)
 	if err != nil {
 		return res, err

@@ -42,25 +42,22 @@ var sharedCache = NewCache()
 // computed from the canonical JSON form — sorted keys, zero-valued fields
 // omitted — so it is stable under Config field reordering and additions,
 // and any semantically meaningful field change yields a distinct key: a
-// changed config can never be served a stale result. Workers is normalised
-// to 0 (legacy serial loop) or 1 (phased loop) before hashing: every
-// non-zero worker count is bit-identical by construction, so the cache
-// shares those entries, while the two loop algorithms — which may differ in
-// the last bits of energy sums — stay separate.
+// changed config can never be served a stale result. Workers is cleared
+// before hashing: the serial loop takes no workers, and relaxed results are
+// bit-identical for every worker count, so all worker counts of one config
+// share an entry.
 func configKey(cfg gscalar.Config, scale int) string {
 	return canonicalHash(cfg) + "|scale=" + strconv.Itoa(scale)
 }
 
 // canonicalHash is the configuration component of a point key: the content
-// hash of the normalized config with the phased worker count collapsed.
+// hash of the normalized config with the worker count cleared.
 func canonicalHash(cfg gscalar.Config) string {
 	// Hash the normalized form: the run path normalizes before simulating,
 	// so a sparse config and its explicit equivalent are the same input and
 	// must share one entry.
 	cfg.Normalize()
-	if cfg.Workers != 0 {
-		cfg.Workers = 1
-	}
+	cfg.Workers = 0
 	return cfg.Hash()
 }
 

@@ -59,18 +59,20 @@ func TestConfigKeyInvalidation(t *testing.T) {
 		t.Error("changing scale did not change the cache key")
 	}
 
-	// Workers normalisation: 0 (legacy loop) is its own key; every
-	// non-zero count maps to one shared key (bit-identical results).
-	phased := func(n int) string {
+	// Workers is cleared: serial never has workers, and relaxed results do
+	// not depend on the worker count, so every count shares the relaxed
+	// key — which still differs from the serial one.
+	relaxed := func(n int) string {
 		cfg := gscalar.DefaultConfig()
+		cfg.Relaxed = true
 		cfg.Workers = n
 		return configKey(cfg, 1)
 	}
-	if phased(1) != phased(8) || phased(1) != phased(-1) {
-		t.Error("phased worker counts should share one cache key")
+	if relaxed(0) != relaxed(1) || relaxed(1) != relaxed(8) || relaxed(1) != relaxed(-1) {
+		t.Error("relaxed worker counts should share one cache key")
 	}
-	if phased(1) == base {
-		t.Error("phased and legacy loops must not share a cache key")
+	if relaxed(1) == base {
+		t.Error("relaxed and serial loops must not share a cache key")
 	}
 	if !strings.Contains(base, "scale=1") {
 		t.Errorf("key %q lacks the scale component", base)

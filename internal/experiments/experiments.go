@@ -38,7 +38,7 @@ type Options struct {
 	// freshly simulated point to <CaptureDir>/<arch>_<workload>.gstr (each
 	// file is written atomically; replay with -workload trace:<file>).
 	// Capture requires the serial chip loop, so it is incompatible with
-	// Config.Workers/EpochCycles. Cache hits write no trace — their run was
+	// Config.Relaxed. Cache hits write no trace — their run was
 	// not re-simulated.
 	CaptureDir string
 }

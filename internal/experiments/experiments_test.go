@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gscalar"
+	"gscalar/internal/sm"
 )
 
 // smallSuite runs on a 2-SM chip over a 3-benchmark subset so the whole
@@ -173,6 +174,39 @@ func TestStaticUniformOnWorkloads(t *testing.T) {
 	for _, r := range rows {
 		if r.Static > r.Dynamic+1e-9 {
 			t.Errorf("%s: static %.3f exceeds dynamic %.3f", r.Abbr, r.Static, r.Dynamic)
+		}
+	}
+}
+
+// TestAblationLowersChipLoop pins that an ablation point runs on the chip
+// loop its suite asks for: the relaxed loop lowers as a pair (epoch and
+// workers), and a serial suite passes neither.
+func TestAblationLowersChipLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	for _, tc := range []struct {
+		relaxed bool
+		mode    string
+		workers int
+	}{
+		{false, "serial", 1},
+		{true, "relaxed", 2},
+	} {
+		cfg := gscalar.DefaultConfig()
+		cfg.NumSMs = 2
+		if tc.relaxed {
+			cfg.Relaxed, cfg.Workers = true, 2
+		}
+		s := NewSuite(Options{Config: cfg, Workloads: []string{"HS"}})
+		s.r.cache = NewCache()
+		res, err := s.runCustomArch("HS", sm.GScalar())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ExecMode != tc.mode || res.Workers != tc.workers {
+			t.Errorf("relaxed=%v: ablation point ran %s with %d workers, want %s with %d",
+				tc.relaxed, res.ExecMode, res.Workers, tc.mode, tc.workers)
 		}
 	}
 }

@@ -127,7 +127,7 @@ func (s *Suite) Prewarm(points []Point, par int) error {
 // time, filling the suite's result cache. Figures rendered afterwards are
 // served entirely from the cache, so their output is byte-identical to a
 // serial run — prewarming only changes when the simulations happen, never
-// what they produce (the phased simulation loop is deterministic, and each
+// what they produce (every chip loop is deterministic, and each
 // point is independent). With par <= 1 the points run serially in order.
 //
 // The fan-out is fail-fast: the first failure — or a cancellation of ctx,

@@ -34,14 +34,15 @@ func TestRunContextExpiredDeadline(t *testing.T) {
 }
 
 // TestObserverDoesNotChangeResults runs with and without a progress observer
-// (serial and phased loops) and requires bit-identical results, plus sane
+// (serial and relaxed loops) and requires bit-identical results, plus sane
 // snapshots: strictly increasing cycles, non-decreasing instruction counts,
 // and a live-SM count within the chip size.
 func TestObserverDoesNotChangeResults(t *testing.T) {
-	for _, workers := range []int{0, 4} {
+	for _, l := range loops {
 		prog, lc, mem, want := buildSaxpy(t, 4096)
 		cfg := DefaultConfig()
-		cfg.Workers = workers
+		cfg.EpochCycles = l.epoch
+		cfg.Workers = l.workers
 		base, err := Run(cfg, sm.GScalar(), prog, lc, mem)
 		if err != nil {
 			t.Fatal(err)
@@ -57,20 +58,20 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res, base) {
-			t.Errorf("workers=%d: observed run differs from unobserved run", workers)
+			t.Errorf("%s: observed run differs from unobserved run", l.name)
 		}
 		if len(snaps) == 0 {
-			t.Fatalf("workers=%d: observer never called over %d cycles", workers, res.Cycles)
+			t.Fatalf("%s: observer never called over %d cycles", l.name, res.Cycles)
 		}
 		for i, p := range snaps {
 			if i > 0 && p.Cycle <= snaps[i-1].Cycle {
-				t.Errorf("workers=%d: snapshot cycles not increasing: %d then %d", workers, snaps[i-1].Cycle, p.Cycle)
+				t.Errorf("%s: snapshot cycles not increasing: %d then %d", l.name, snaps[i-1].Cycle, p.Cycle)
 			}
 			if i > 0 && p.WarpInsts < snaps[i-1].WarpInsts {
-				t.Errorf("workers=%d: retired instructions decreased", workers)
+				t.Errorf("%s: retired instructions decreased", l.name)
 			}
 			if p.LiveSMs < 0 || p.LiveSMs > cfg.NumSMs {
-				t.Errorf("workers=%d: LiveSMs = %d with %d SMs", workers, p.LiveSMs, cfg.NumSMs)
+				t.Errorf("%s: LiveSMs = %d with %d SMs", l.name, p.LiveSMs, cfg.NumSMs)
 			}
 		}
 	}
@@ -79,12 +80,13 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 // TestCancelMidRunDeterministic cancels the same run at the same simulated
 // cycle twice — via an observer, so the cut point is defined in simulated
 // time, not wall-clock time — and requires the two partial results to be
-// bit-identical, for both the serial and the phased loop.
+// bit-identical, for both the serial and the relaxed loop.
 func TestCancelMidRunDeterministic(t *testing.T) {
-	for _, workers := range []int{0, 4} {
+	for _, l := range loops {
 		prog, lc, mem, _ := buildSaxpy(t, 4096)
 		cfg := DefaultConfig()
-		cfg.Workers = workers
+		cfg.EpochCycles = l.epoch
+		cfg.Workers = l.workers
 		full, err := Run(cfg, sm.GScalar(), prog, lc, mem)
 		if err != nil {
 			t.Fatal(err)
@@ -107,21 +109,21 @@ func TestCancelMidRunDeterministic(t *testing.T) {
 			}
 			res, err := RunContext(ctx, c, sm.GScalar(), prog, lc, mem)
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+				t.Fatalf("%s: err = %v, want context.Canceled", l.name, err)
 			}
 			return res
 		}
 		a := partial()
 		b := partial()
 		if a.Cycles == 0 || a.Cycles >= full.Cycles {
-			t.Errorf("workers=%d: partial run spans %d cycles, full run %d", workers, a.Cycles, full.Cycles)
+			t.Errorf("%s: partial run spans %d cycles, full run %d", l.name, a.Cycles, full.Cycles)
 		}
 		if a.Power.AvgPowerW <= 0 {
-			t.Errorf("workers=%d: partial run has no finalized power", workers)
+			t.Errorf("%s: partial run has no finalized power", l.name)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("workers=%d: cancelling at cycle %d twice gave different partial results:\n%+v\nvs\n%+v",
-				workers, cancelAt, a, b)
+			t.Errorf("%s: cancelling at cycle %d twice gave different partial results:\n%+v\nvs\n%+v",
+				l.name, cancelAt, a, b)
 		}
 	}
 }

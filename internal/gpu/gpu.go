@@ -28,30 +28,29 @@ type Config struct {
 	Energies    power.Energies
 	// MaxCycles aborts runaway simulations (0 = a large default).
 	MaxCycles uint64
-	// Workers selects the chip-loop execution mode. 0 (the default) runs
-	// the legacy serial loop, preserved bit-for-bit. Any other value runs
-	// the deterministic phased loop — per-cycle parallel SM compute, then a
-	// serial commit of shared-state accesses in ascending SM-id order —
-	// with that many compute workers (negative = one per host core). All
-	// Workers != 0 values produce bit-identical results; the worker count
-	// only changes wall-clock time.
+	// Workers is the relaxed loop's compute-worker count (negative = one per
+	// host core). It requires EpochCycles > 0: the serial loop has no
+	// workers, so runWithMeter rejects Workers != 0 without an epoch. Every
+	// worker count produces bit-identical results; it only changes
+	// wall-clock time.
 	Workers int
 	// EpochCycles, when positive, selects the relaxed epoch-parallel loop:
 	// workers advance their SMs up to EpochCycles cycles between rendezvous
 	// over the shared L2/DRAM system, committing deferred traffic in
-	// ascending SM-id order at each epoch boundary. Unlike the phased loop
-	// it is not bit-identical to the serial loop — beyond-L1 completion
-	// times inside an epoch are estimates against the frozen shared state —
-	// but a fixed EpochCycles value is deterministic for every worker count
-	// and across repeated runs. 0 keeps the per-cycle modes above.
+	// ascending SM-id order at each epoch boundary. It is not bit-identical
+	// to the serial loop — beyond-L1 completion times inside an epoch are
+	// estimates against the frozen shared state — but a fixed EpochCycles
+	// value is deterministic for every worker count and across repeated
+	// runs. 0 runs the serial loop.
 	EpochCycles int
 	// DisableIdleSkip turns off event-driven idle skipping: by default both
 	// loops fast-forward the cycle counter to the chip's next-event cycle
 	// whenever every SM is quiescent (no ready warps, no live operand
 	// collectors — only in-flight memory/pipeline completions). Skipped
-	// cycles mutate no state whatsoever, so results are bit-identical with
-	// skipping on or off; the flag exists for benchmarking the raw loop and
-	// for validating exactly that property.
+	// cycles mutate no state whatsoever, so serial results are bit-identical
+	// with skipping on or off; the flag exists for benchmarking the raw loop
+	// and for validating exactly that property. (In the relaxed loop a skip
+	// also moves the epoch grid, so there the flag is a model parameter.)
 	DisableIdleSkip bool
 	// Observer, when non-nil, is called at lifecycle checkpoints — the
 	// cycle-commit boundaries every ObserverStride simulated cycles — with a
@@ -72,8 +71,8 @@ type Config struct {
 	// telemetry attached is bit-identical to one without.
 	Telemetry *telemetry.Recorder
 	// ExecTrace, when non-nil, observes every warp-instruction execution in
-	// issue order (trace capture). It requires the serial loop (Workers == 0,
-	// EpochCycles == 0): the parallel loops interleave SM compute across
+	// issue order (trace capture). It requires the serial loop
+	// (EpochCycles == 0): the relaxed loop interleaves SM compute across
 	// goroutines, which would make the observation order nondeterministic —
 	// runWithMeter rejects the combination. The hook costs the hot path one
 	// nil check when unset; like Observer/Telemetry it must not mutate
@@ -114,11 +113,10 @@ type Result struct {
 	IPCPerW float64 // the paper's power-efficiency metric
 	EnergyJ float64
 	// ExecMode and Workers record how the run actually executed — the chip
-	// loop ("serial", "phased", or "relaxed") and the resolved compute-worker
-	// count after the crossover heuristics — so benches and callers can
-	// assert what ran rather than what was requested. They describe the
-	// execution, not the simulated machine: serial, phased, and every phased
-	// worker count produce bit-identical simulation outputs.
+	// loop ("serial" or "relaxed") and the resolved compute-worker count —
+	// so benches and callers can assert what ran rather than what was
+	// requested. They describe the execution, not the simulated machine:
+	// every relaxed worker count produces bit-identical simulation outputs.
 	ExecMode string
 	Workers  int
 }
@@ -183,7 +181,6 @@ type rawResult struct {
 // Execution-mode names recorded in rawResult.Mode / Result.ExecMode.
 const (
 	modeSerial  = "serial"
-	modePhased  = "phased"
 	modeRelaxed = "relaxed"
 )
 
@@ -232,9 +229,8 @@ func (cfg Config) effectiveMaxCycles() uint64 {
 
 // runWithMeter is the shared simulation entry: it deposits energy into the
 // caller's meter and returns cycle/statistics totals. Config.EpochCycles > 0
-// selects the relaxed epoch loop; otherwise Config.Workers picks the
-// per-cycle loop: 0 is the legacy serial loop; anything else is the phased
-// loop, whose results are bit-identical for every worker count.
+// selects the relaxed epoch loop, run by Config.Workers workers; otherwise
+// the serial loop runs, which takes no workers.
 func runWithMeter(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program, lc *kernel.LaunchConfig, gmem *kernel.Memory, meter *power.Meter) (rawResult, error) {
 	if err := lc.Validate(cfg.SM.MaxWarps * cfg.SM.WarpSize); err != nil {
 		return rawResult{}, err
@@ -242,14 +238,14 @@ func runWithMeter(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Pr
 	if err := ctx.Err(); err != nil {
 		return rawResult{}, fmt.Errorf("gpu: cancelled before cycle 0: %w", err)
 	}
-	if cfg.ExecTrace != nil && (cfg.EpochCycles > 0 || cfg.Workers != 0) {
-		return rawResult{}, fmt.Errorf("gpu: ExecTrace requires the serial loop (Workers=0, EpochCycles=0); got Workers=%d EpochCycles=%d", cfg.Workers, cfg.EpochCycles)
+	if cfg.Workers != 0 && cfg.EpochCycles <= 0 {
+		return rawResult{}, fmt.Errorf("gpu: Workers=%d requires the relaxed loop (EpochCycles > 0); the serial loop takes no workers", cfg.Workers)
+	}
+	if cfg.ExecTrace != nil && cfg.EpochCycles > 0 {
+		return rawResult{}, fmt.Errorf("gpu: ExecTrace requires the serial loop (EpochCycles=0); got EpochCycles=%d", cfg.EpochCycles)
 	}
 	if cfg.EpochCycles > 0 {
 		return runRelaxed(ctx, cfg, arch, prog, lc, gmem, meter)
-	}
-	if cfg.Workers != 0 {
-		return runPhased(ctx, cfg, arch, prog, lc, gmem, meter)
 	}
 	return runSerial(ctx, cfg, arch, prog, lc, gmem, meter)
 }

@@ -3,6 +3,7 @@ package gpu
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"gscalar/internal/kernel"
@@ -10,6 +11,26 @@ import (
 	"gscalar/internal/power"
 	"gscalar/internal/sm"
 )
+
+// resolveWorkers turns Config.Workers into the relaxed loop's concrete
+// compute-worker count: negative means one per host core, the count never
+// exceeds the SM count, and a single-SM chip or a single-CTA launch has
+// nothing to overlap, so it runs inline on one goroutine. Only the goroutine
+// count varies here — never the algorithm — so every resolved value
+// produces bit-identical simulation results.
+func resolveWorkers(cfg Config, totalCTAs int) int {
+	w := cfg.Workers
+	if w < 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w > cfg.NumSMs {
+		w = cfg.NumSMs
+	}
+	if cfg.NumSMs < 2 || totalCTAs < 2 || w < 1 {
+		return 1
+	}
+	return w
+}
 
 // epochWorkerOrder is a test hook: when non-nil it chooses the order in
 // which the epoch pool launches its worker goroutines. An SM's owning
@@ -23,11 +44,10 @@ type epochSpan struct {
 }
 
 // epochPool runs the compute phase of each epoch across a set of persistent
-// workers, mirroring smPool: worker w owns the fixed SM stride w, w+workers,
-// w+2*workers, …, so an SM is only ever stepped by one goroutine. The pool
-// is a barrier: epoch() returns only after every SM has run its span, which
-// establishes the happens-before edge for the serial rendezvous that
-// follows.
+// workers: worker w owns the fixed SM stride w, w+workers, w+2*workers, …,
+// so an SM is only ever stepped by one goroutine. The pool is a barrier:
+// epoch() returns only after every SM has run its span, which establishes
+// the happens-before edge for the serial rendezvous that follows.
 type epochPool struct {
 	sms     []*sm.SM
 	workers int
@@ -99,11 +119,11 @@ func (p *epochPool) close() {
 // The commit order is fixed and the compute phase reads only state frozen
 // at the last rendezvous, so the simulated result is a pure function of
 // (config, program, launch, memory image, EpochCycles) — the worker count
-// changes wall-clock time only. Unlike the phased loop the result is NOT
-// bit-identical to the serial oracle: intra-epoch estimates ignore queueing
-// behind same-epoch transactions, cross-SM store visibility is deferred to
-// the epoch boundary, and CTA dispatch waves land on rendezvous cycles.
-// The relaxed differential suite measures and bounds those deltas.
+// changes wall-clock time only. The result is NOT bit-identical to the
+// serial oracle: intra-epoch estimates ignore queueing behind same-epoch
+// transactions, cross-SM store visibility is deferred to the epoch
+// boundary, and CTA dispatch waves land on rendezvous cycles. The relaxed
+// differential suite measures and bounds those deltas.
 func runRelaxed(ctx context.Context, cfg Config, arch sm.Arch, prog *kernel.Program, lc *kernel.LaunchConfig, gmem *kernel.Memory, meter *power.Meter) (rawResult, error) {
 	maxCycles := cfg.effectiveMaxCycles()
 	epoch := uint64(cfg.EpochCycles)

@@ -1,7 +1,9 @@
 package gpu
 
 import (
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gscalar/internal/asm"
@@ -22,7 +24,7 @@ func relaxedResult(r Result) Result {
 // against the functional golden model on randomly generated kernels: global
 // stores stay buffered for up to a whole epoch there, so this exercises the
 // store-buffer overlay (same-SM read-after-write through global memory) that
-// the per-cycle modes never need.
+// the serial loop never needs.
 func TestRelaxedFunctionalCorrectness(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trials := 10
@@ -152,18 +154,14 @@ func TestRelaxedRepeatable(t *testing.T) {
 	}
 }
 
-// TestResolveWorkersRelaxedSmallLaunch pins the resolveWorkers fix: a
-// multi-CTA launch smaller than the SM count must keep its requested
-// workers in relaxed mode (the epoch barrier amortises), while the phased
-// mode still clamps to 1 (its per-cycle barrier does not).
+// TestResolveWorkersRelaxedSmallLaunch pins resolveWorkers: a multi-CTA
+// launch smaller than the SM count keeps its requested workers (the epoch
+// barrier amortises), while a single CTA or a single SM has nothing to
+// overlap and runs on one.
 func TestResolveWorkersRelaxedSmallLaunch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 15
 	cfg.Workers = 4
-
-	if got := resolveWorkers(cfg, 8); got != 1 {
-		t.Errorf("phased, 8 CTAs < 15 SMs: resolveWorkers = %d, want 1", got)
-	}
 	cfg.EpochCycles = 64
 	if got := resolveWorkers(cfg, 8); got != 4 {
 		t.Errorf("relaxed, 8 CTAs < 15 SMs: resolveWorkers = %d, want 4", got)
@@ -174,5 +172,21 @@ func TestResolveWorkersRelaxedSmallLaunch(t *testing.T) {
 	cfg.NumSMs = 1
 	if got := resolveWorkers(cfg, 8); got != 1 {
 		t.Errorf("relaxed, 1 SM: resolveWorkers = %d, want 1", got)
+	}
+}
+
+// TestWorkersRequireEpoch pins the meaning of Workers: it is the relaxed
+// loop's worker count, so a run that asks for workers without an epoch
+// length — the serial loop — is rejected before simulating anything.
+func TestWorkersRequireEpoch(t *testing.T) {
+	prog, lc, mem, _ := buildSaxpy(t, 256)
+	cfg := DefaultConfig()
+	cfg.Workers = 4
+	res, err := RunContext(context.Background(), cfg, sm.GScalar(), prog, lc, mem)
+	if err == nil || !strings.Contains(err.Error(), "EpochCycles") {
+		t.Fatalf("Workers=4 without EpochCycles: err = %v, want a rejection naming EpochCycles", err)
+	}
+	if res.Cycles != 0 {
+		t.Errorf("rejected run simulated %d cycles", res.Cycles)
 	}
 }

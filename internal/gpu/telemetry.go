@@ -15,7 +15,7 @@ import (
 type chipSampler struct {
 	rec    *telemetry.Recorder
 	sms    []*sm.SM
-	meters []*power.Meter // live meters: per-SM in phased mode, the shared one serially
+	meters []*power.Meter // live meters: per-SM in relaxed mode, the shared one serially
 	stride uint64         // resolved sampling stride in simulated cycles
 }
 

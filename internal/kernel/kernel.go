@@ -50,7 +50,7 @@ func (p *Program) Meta(pc int) *InstMeta { return &p.meta[pc] }
 
 // BuildMeta populates the per-PC metadata cache. It is idempotent, and NOT
 // safe to call concurrently with itself or with simulation: callers that
-// share one Program across goroutines (the phased chip loop, the experiment
+// share one Program across goroutines (the relaxed chip loop, the experiment
 // fan-out) must build the cache first, which the assembler and gpu.Run both
 // do before any worker starts.
 func (p *Program) BuildMeta() {
@@ -273,22 +273,17 @@ func NewMemoryFromSnapshot(next uint32, pages []MemPage) *Memory {
 	return m
 }
 
-// StoreBuffer defers global-memory stores for the phased (parallel)
+// StoreBuffer defers global-memory stores for the relaxed epoch-parallel
 // simulation mode: during the concurrent compute phase each SM's warps
 // append their stores here instead of writing Memory directly, and the
-// serial commit phase flushes the buffers in ascending SM-id order. All
-// loads of a cycle therefore observe memory as of the end of the previous
-// cycle, independent of worker scheduling, which is what makes the phased
-// mode deterministic for any worker count.
+// serial epoch rendezvous flushes the buffers in ascending SM-id order, so
+// what other SMs observe is independent of worker scheduling. Stores stay
+// buffered for up to a whole epoch, so the buffer also keeps the latest
+// value per address as a read-through overlay: a warp reading back its own
+// SM's recent global store sees the value a serial simulation would have
+// made visible within a cycle. The zero value is an empty buffer.
 type StoreBuffer struct {
-	ops []storeOp
-	// overlay, when enabled, tracks the latest buffered value per address so
-	// loads can read through the buffer. The relaxed epoch mode needs it:
-	// stores stay buffered for up to a whole epoch there, and a warp reading
-	// back its own SM's recent global store must see the value a serial
-	// simulation would have made visible within a cycle. The phased mode
-	// leaves the overlay disabled — its buffers flush every cycle, so loads
-	// reading memory as of the previous cycle is already the contract.
+	ops     []storeOp
 	overlay map[uint32]uint32
 }
 
@@ -296,32 +291,27 @@ type storeOp struct {
 	addr, val uint32
 }
 
-// EnableOverlay switches the buffer into read-through mode (see overlay).
-func (b *StoreBuffer) EnableOverlay() {
-	b.overlay = make(map[uint32]uint32)
-}
-
 // Store32 records a deferred 4-byte store.
 func (b *StoreBuffer) Store32(addr, val uint32) {
 	b.ops = append(b.ops, storeOp{addr, val})
-	if b.overlay != nil {
-		b.overlay[addr] = val
+	if b.overlay == nil {
+		b.overlay = make(map[uint32]uint32)
 	}
+	b.overlay[addr] = val
 }
 
 // Len returns the number of buffered stores.
 func (b *StoreBuffer) Len() int { return len(b.ops) }
 
 // ReadThrough reports whether loads must consult the buffer before global
-// memory: the overlay is enabled and at least one store is pending. It is
-// nil-safe so the warp execution hot path can branch on it once per
-// instruction.
+// memory: at least one store is pending. It is nil-safe (the serial loop
+// runs without a buffer) so the warp execution hot path can branch on it
+// once per instruction.
 func (b *StoreBuffer) ReadThrough() bool {
 	return b != nil && len(b.overlay) > 0
 }
 
-// Load32 returns the latest buffered value for addr, if any. Valid only
-// with the overlay enabled.
+// Load32 returns the latest buffered value for addr, if any.
 func (b *StoreBuffer) Load32(addr uint32) (uint32, bool) {
 	v, ok := b.overlay[addr]
 	return v, ok

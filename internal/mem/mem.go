@@ -210,7 +210,8 @@ type System struct {
 	chanFree []uint64
 	// chanTx counts DRAM transactions per channel for telemetry. drainToDRAM
 	// runs serially in both chip loops (directly in the serial loop, from the
-	// commit phase in the phased loop), so plain increments are race-free.
+	// epoch rendezvous in the relaxed loop), so plain increments are
+	// race-free.
 	chanTx []uint64
 }
 

@@ -501,11 +501,11 @@ func TestStoreKeyMatchesExperimentsCache(t *testing.T) {
 			t.Fatalf("key %q lacks %q", key, frag)
 		}
 	}
-	// Any two phased worker counts key identically: the phased loop is
-	// bit-identical for every worker count (only serial Workers=0 differs).
+	// Any two relaxed worker counts key identically: the relaxed loop is
+	// bit-identical for every worker count.
 	cfg2a, cfg2b := cfg, cfg
-	cfg2a.Workers = 7
-	cfg2b.Workers = 3
+	cfg2a.Relaxed, cfg2a.Workers = true, 7
+	cfg2b.Relaxed, cfg2b.Workers = true, 3
 	k2a := PointSpec{Config: cfg2a, Arch: gscalar.GScalar, Workload: "HW", Scale: 1}.Key()
 	k2b := PointSpec{Config: cfg2b, Arch: gscalar.GScalar, Workload: "HW", Scale: 1}.Key()
 	if k2a != k2b {

@@ -116,7 +116,6 @@ func (s *SM) dispatch(ci int) {
 		isMove: ce.isMove, moveReg: ce.moveReg, predUniform: ce.predUniform,
 	}
 
-	txStart := len(s.txBuf)
 	if class == isa.ClassMem && !ce.isMove {
 		done, mshrs, ok := s.dispatchMem(ce, occ, extra)
 		if !ok {
@@ -134,11 +133,6 @@ func (s *SM) dispatch(ci int) {
 	s.events = append(s.events, ev)
 	if ev.done < s.nextWb {
 		s.nextWb = ev.done
-	}
-	if txEnd := len(s.txBuf); txEnd > txStart {
-		s.pending = append(s.pending, pendingAccess{
-			evIdx: len(s.events) - 1, extra: extra, txStart: txStart, txEnd: txEnd,
-		})
 	}
 	ce.valid = false
 	s.collRelease(ci)
@@ -178,23 +172,6 @@ func (s *SM) execEnergy(ce *collectorEntry, class isa.Class) {
 
 func isFloatOp(op isa.Opcode) bool {
 	return op >= isa.OpFAdd && op <= isa.OpF2I
-}
-
-// pendingTx is one deferred L2/DRAM transaction of the phased mode.
-type pendingTx struct {
-	line  uint32
-	write bool
-}
-
-// pendingAccess groups the deferred transactions of one dispatched memory
-// instruction with the writeback event they must complete. evIdx indexes
-// s.events and is valid until the next processWritebacks, which cannot run
-// before CommitShared resolves the entry (commit ends the same cycle).
-// txStart/txEnd index s.txBuf, the cycle's flat transaction buffer.
-type pendingAccess struct {
-	evIdx          int
-	extra          uint64
-	txStart, txEnd int
 }
 
 // fillGet looks up an in-flight fill of line.
@@ -242,10 +219,9 @@ func (s *SM) fillPut(line uint32, done uint64) {
 
 // dispatchMem models the memory pipeline: address generation, coalescing,
 // L1, and the shared L2/DRAM system. It returns the completion cycle and
-// the number of MSHRs held (for loads). In phased mode, beyond-L1
-// transactions are appended to s.txBuf for CommitShared to apply instead of
-// touching the shared memory system here; the returned done is then a lower
-// bound that commit raises once L2/DRAM timing is known.
+// the number of MSHRs held (for loads). In relaxed mode, beyond-L1
+// transactions take an estimated completion time and are deferred into
+// s.epochTx for CommitEpoch to apply at the epoch rendezvous.
 func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, mshrs int, ok bool) {
 	in := ce.out.Inst
 	t := s.msys.Timing()
@@ -296,33 +272,25 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 				}
 			} else {
 				s.st.L1Misses++
-				switch {
-				case s.relaxed:
+				if s.relaxed {
 					// Epoch mode: the shared system is frozen until the
 					// rendezvous, so take an estimated completion time now
 					// and defer the real transaction. Stats/energy for the
 					// beyond-L1 part are accounted at commit (commitTx).
 					txDone = s.msys.EstimateAccess(s.now, line)
 					s.epochTx.Defer(s.now, line, false)
-					s.fillPut(line, txDone)
-				case s.phased:
-					s.txBuf = append(s.txBuf, pendingTx{line: line})
-					continue
-				default:
+				} else {
 					txDone = s.memBeyondL1(line, false)
-					s.fillPut(line, txDone)
 				}
+				s.fillPut(line, txDone)
 			}
 		} else {
 			// Write-through, write-evict: the store drains towards DRAM in
 			// the background; the warp does not wait on it.
 			s.l1.Invalidate(line)
-			switch {
-			case s.relaxed:
+			if s.relaxed {
 				s.epochTx.Defer(s.now, line, true)
-			case s.phased:
-				s.txBuf = append(s.txBuf, pendingTx{line: line, write: true})
-			default:
+			} else {
 				s.memBeyondL1(line, true)
 			}
 			txDone = s.now + occ + 1
@@ -338,36 +306,6 @@ func (s *SM) dispatchMem(ce *collectorEntry, occ, extra uint64) (done uint64, ms
 	return latest + extra, mshrs, true
 }
 
-// CommitShared is the serial phase of a phased-mode cycle: it sends this
-// SM's deferred transactions into the shared L2/DRAM system — fixing up the
-// completion times of their writeback events — and flushes buffered global
-// stores into device memory. The chip loop calls it for each SM in
-// ascending SM-id order, which pins down L2 state transitions and DRAM
-// channel arbitration regardless of how many workers ran the compute phase.
-func (s *SM) CommitShared() {
-	if len(s.pending) > 0 {
-		for i := range s.pending {
-			p := &s.pending[i]
-			ev := &s.events[p.evIdx]
-			for _, tx := range s.txBuf[p.txStart:p.txEnd] {
-				done := s.memBeyondL1(tx.line, tx.write)
-				if !tx.write {
-					s.fillPut(tx.line, done)
-					if d := done + p.extra; d > ev.done {
-						ev.done = d
-					}
-				}
-			}
-		}
-		s.pending = s.pending[:0]
-		s.txBuf = s.txBuf[:0]
-		s.recomputeNextWb()
-	}
-	if s.storeBuf != nil && s.storeBuf.Len() > 0 {
-		s.storeBuf.Flush(s.gmem)
-	}
-}
-
 // memBeyondL1 sends one transaction into the L2/DRAM system, accounting
 // energy by how deep it went, and returns its completion cycle.
 func (s *SM) memBeyondL1(line uint32, write bool) uint64 {
@@ -381,18 +319,6 @@ func (s *SM) memBeyondL1(line uint32, write bool) uint64 {
 		s.meter.AddN(power.CompDRAM, mem.LineSize, s.en.DRAMPerByte)
 	}
 	return done
-}
-
-// recomputeNextWb re-derives the earliest pending writeback time after
-// event completion times changed or events were removed.
-func (s *SM) recomputeNextWb() {
-	next := uint64(NoEvent)
-	for i := range s.events {
-		if s.events[i].done < next {
-			next = s.events[i].done
-		}
-	}
-	s.nextWb = next
 }
 
 // processWritebacks retires events whose completion cycle has arrived:

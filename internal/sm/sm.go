@@ -142,26 +142,16 @@ type SM struct {
 	regArena  *regfile.Arena
 	laneAlloc func(words int) []uint32
 
-	// Phased (parallel) mode: Cycle defers every access to shared chip
-	// state — L2/DRAM transactions and global-memory stores — into pending
-	// and storeBuf, and CommitShared drains them serially. phased is false
-	// in the legacy serial mode, where Cycle touches msys and gmem directly.
-	phased   bool
-	pending  []pendingAccess
-	storeBuf *kernel.StoreBuffer
-	// txBuf backs the deferred transactions of all pendingAccess entries of
-	// the current cycle (each holds an index range), so deferral allocates
-	// nothing in steady state.
-	txBuf []pendingTx
-
 	// Relaxed (epoch) mode: dispatchMem estimates beyond-L1 completion times
 	// against the frozen shared memory system (mem.System.EstimateAccess) and
 	// defers the actual transactions into epochTx; CommitEpoch applies them —
 	// and flushes the store buffer — at the epoch rendezvous, serially in
 	// ascending SM-id order across the chip. commitTx is the per-transaction
 	// stats/energy callback bound once at EnableRelaxed so commits do not
-	// allocate a closure per epoch.
+	// allocate a closure per epoch. relaxed is false in the serial mode,
+	// where Cycle touches msys and gmem directly and storeBuf is nil.
 	relaxed  bool
+	storeBuf *kernel.StoreBuffer
 	epochTx  mem.TxBuffer
 	commitTx func(mem.AccessKind)
 
@@ -200,8 +190,8 @@ type SM struct {
 
 	// execTrace, when non-nil, observes every warp-instruction execution
 	// (trace capture). The hot path pays only a nil check; the hook itself
-	// runs off-path and may allocate. Serial chip loop only — the phased and
-	// relaxed loops never set it, so warp executions reaching the hook are
+	// runs off-path and may allocate. Serial chip loop only — the relaxed
+	// loop never sets it, so warp executions reaching the hook are
 	// totally ordered.
 	execTrace func(smID, warpGlobalID int, out *warp.Outcome)
 
@@ -260,16 +250,6 @@ func New(id int, cfg Config, arch Arch, en power.Energies, prog *kernel.Program,
 	return s
 }
 
-// EnablePhased switches the SM into phased mode for parallel simulation:
-// Cycle becomes a pure compute phase free of shared-state writes, and the
-// caller must invoke CommitShared after each cycle (serially, in ascending
-// SM-id order across the chip) to apply deferred L2/DRAM transactions and
-// global stores. Must be called before the first LaunchCTA.
-func (s *SM) EnablePhased() {
-	s.phased = true
-	s.storeBuf = &kernel.StoreBuffer{}
-}
-
 // EnableRelaxed switches the SM into relaxed epoch mode for epoch-parallel
 // simulation: Cycle runs against a frozen shared memory system (estimated
 // beyond-L1 latencies, deferred transactions, buffered global stores with a
@@ -279,7 +259,6 @@ func (s *SM) EnablePhased() {
 func (s *SM) EnableRelaxed() {
 	s.relaxed = true
 	s.storeBuf = &kernel.StoreBuffer{}
-	s.storeBuf.EnableOverlay()
 	s.commitTx = func(kind mem.AccessKind) {
 		s.st.L2Accesses++
 		s.meter.AddN(power.CompNoC, mem.LineSize, s.en.NoCPerByte)
@@ -324,10 +303,10 @@ func (s *SM) RunEpoch(start, end uint64) uint64 {
 // CommitEpoch is the serial phase of the relaxed mode: it applies the
 // epoch's deferred L2/DRAM transactions to the shared memory system (in
 // issue order, accounting stats and energy per transaction) and flushes
-// buffered global stores into device memory. Unlike the phased mode's
-// CommitShared, completion times are not fed back into writeback events —
-// the SM already ran ahead on estimates; the commit's job is to evolve the
-// shared state deterministically for the next epoch.
+// buffered global stores into device memory. Completion times are not fed
+// back into writeback events — the SM already ran ahead on estimates; the
+// commit's job is to evolve the shared state deterministically for the next
+// epoch.
 func (s *SM) CommitEpoch() {
 	if s.epochTx.Len() > 0 {
 		s.msys.CommitDeferred(&s.epochTx, s.commitTx)
@@ -342,8 +321,8 @@ func (s *SM) Stats() *stats.Sim { return &s.st }
 
 // Retired returns the warp instructions this SM has committed so far. It is
 // the chip loops' progress-observer sample: a plain counter read with no
-// aggregation cost, safe to call between cycles (serially, or after the
-// phased loop's barrier) without disturbing simulation state.
+// aggregation cost, safe to call between cycles (serially, or at the
+// relaxed loop's epoch rendezvous) without disturbing simulation state.
 func (s *SM) Retired() uint64 { return s.st.WarpInsts }
 
 // Err returns the first simulation error encountered, if any.

@@ -72,7 +72,7 @@ type Meta struct {
 	NumSMs           int      // SM count (length of Sample.PerSM)
 	EnergyComponents []string // names indexing Sample.EnergyPJ
 	RFAccessClasses  []string // names indexing Sample.RFReads
-	ExecMode         string   // chip loop that ran: serial, phased, or relaxed
+	ExecMode         string   // chip loop that ran: serial or relaxed
 	Workers          int      // resolved compute-worker count of that loop
 }
 

@@ -403,8 +403,8 @@ func (w *Warp) execLoad(ctx *Context, in *isa.Instruction, active Mask, out *Out
 		if ctx.StoreBuf.ReadThrough() {
 			// Relaxed epoch mode: stores stay buffered for up to an epoch, so
 			// a load must see this SM's own pending stores (same-SM RAW
-			// through global memory). ReadThrough is false whenever the
-			// overlay is disabled or empty, keeping the serial/phased hot
+			// through global memory). ReadThrough is false whenever there
+			// is no buffer (serial loop) or it is empty, keeping the hot
 			// path below branch-free through the buffer.
 			for m := active; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros64(m)

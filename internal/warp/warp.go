@@ -266,9 +266,10 @@ type Context struct {
 	Launch *kernel.LaunchConfig
 	Global *kernel.Memory
 	Shared []uint32 // per-CTA shared memory (word-addressed model)
-	// StoreBuf, when non-nil, receives global stores instead of Global
-	// (phased simulation: stores are buffered during the concurrent compute
-	// phase and committed serially at end of cycle).
+	// StoreBuf, when non-nil, receives global stores instead of Global, and
+	// global loads read through it (relaxed simulation: stores are buffered
+	// during an epoch's concurrent compute phase and committed serially at
+	// the epoch rendezvous).
 	StoreBuf *kernel.StoreBuffer
 	// AddrScratch, when non-nil and at least warp-width long, backs
 	// Outcome.Addrs instead of a fresh allocation. Only lanes set in

@@ -53,6 +53,7 @@ func pctDelta(a, b uint64) float64 {
 func runRelaxedWorkload(t testing.TB, arch gscalar.Arch, abbr string, workers, epoch int) gscalar.Result {
 	t.Helper()
 	cfg := gscalar.DefaultConfig()
+	cfg.Relaxed = true
 	cfg.Workers = workers
 	cfg.EpochCycles = epoch
 	res, err := runWorkloadVia(t, cfg, arch, abbr, 1)
@@ -87,7 +88,7 @@ func TestRelaxedAccuracyEnvelope(t *testing.T) {
 	}
 	for _, arch := range archs {
 		for _, abbr := range workloadSet {
-			serial := runDet(t, arch, abbr, 1)
+			serial := runDet(t, arch, abbr)
 			relaxed := runRelaxedWorkload(t, arch, abbr, 4, 64)
 
 			if relaxed.ExecMode != "relaxed" {
@@ -180,7 +181,7 @@ func TestRelaxedEpochSensitivity(t *testing.T) {
 		t.Skip("documentation sweep; the short envelope subset already drives the relaxed loop")
 	}
 	const abbr = "LBM"
-	serial := runDet(t, gscalar.GScalar, abbr, 1)
+	serial := runDet(t, gscalar.GScalar, abbr)
 	for _, epoch := range []int{64, 256, 1024} {
 		relaxed := runRelaxedWorkload(t, gscalar.GScalar, abbr, 4, epoch)
 		if relaxed.WarpInsts != serial.WarpInsts {

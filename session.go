@@ -61,7 +61,7 @@ type Session struct {
 	// (replay with workload spec "trace:<path>"). Like Observer and
 	// Telemetry it lives off-Config: enabling capture changes neither the
 	// config hash nor any simulated result. Capture requires the serial
-	// chip loop (Workers == 0, EpochCycles == 0) so the recorded
+	// chip loop (Relaxed unset) so the recorded
 	// instruction order is deterministic, and is rejected for multi-launch
 	// sequences; a run that fails or is cancelled writes no trace.
 	Capture CaptureOptions
@@ -78,9 +78,8 @@ type CaptureOptions struct {
 }
 
 // NewSession normalizes and validates cfg and binds it to arch. It is the
-// single entry onto the validated-config path: every package-level Run*
-// helper constructs a Session internally, so an invalid configuration is
-// rejected before any simulator state is built.
+// single entry onto the validated-config path, so an invalid configuration
+// is rejected before any simulator state is built.
 func NewSession(cfg Config, arch Arch) (*Session, error) {
 	cfg.Normalize()
 	if err := cfg.Validate(); err != nil {
@@ -142,8 +141,8 @@ func (s *Session) newCapture(workload string, scale int, prog *kernel.Program, l
 	if s.Capture.Path == "" {
 		return nil, nil
 	}
-	if s.cfg.Workers != 0 || s.cfg.EpochCycles > 0 {
-		return nil, fmt.Errorf("trace capture requires the serial chip loop (Workers=0, EpochCycles=0); got Workers=%d EpochCycles=%d", s.cfg.Workers, s.cfg.EpochCycles)
+	if s.cfg.Relaxed {
+		return nil, fmt.Errorf("trace capture requires the serial chip loop; got Relaxed with EpochCycles=%d", s.cfg.EpochCycles)
 	}
 	return trace.NewCapture(trace.Meta{
 		Workload:   workload,
@@ -317,41 +316,4 @@ func (s *Session) WarpSizeSweep(ctx context.Context, abbr string, warpSizes []in
 		})
 	}
 	return out, nil
-}
-
-// runVia is the single construction path behind every package-level Run*
-// helper: validate once through NewSession, then delegate to the session
-// method. It keeps the free functions thin, documented wrappers with
-// identical validation and error-wrapping behaviour.
-func runVia(cfg Config, arch Arch, f func(*Session) (Result, error)) (Result, error) {
-	s, err := NewSession(cfg, arch)
-	if err != nil {
-		return Result{}, err
-	}
-	return f(s)
-}
-
-// RunContext is Session.Run as a free function: it constructs a one-shot
-// Session (via runVia) and runs prog on it. Use a Session directly to reuse
-// the validated config, observe progress, or collect telemetry.
-func RunContext(ctx context.Context, cfg Config, arch Arch, prog *Program, launch Launch, mem *Memory) (Result, error) {
-	return runVia(cfg, arch, func(s *Session) (Result, error) {
-		return s.Run(ctx, prog, launch, mem)
-	})
-}
-
-// RunWorkloadContext is Session.RunWorkload as a free function over a
-// one-shot Session (via runVia); see RunContext.
-func RunWorkloadContext(ctx context.Context, cfg Config, arch Arch, abbr string, scale int) (Result, error) {
-	return runVia(cfg, arch, func(s *Session) (Result, error) {
-		return s.RunWorkload(ctx, abbr, scale)
-	})
-}
-
-// RunSequenceContext is Session.RunSequence as a free function over a
-// one-shot Session (via runVia); see RunContext.
-func RunSequenceContext(ctx context.Context, cfg Config, arch Arch, mem *Memory, seq []KernelLaunch) (Result, error) {
-	return runVia(cfg, arch, func(s *Session) (Result, error) {
-		return s.RunSequence(ctx, mem, seq)
-	})
 }

@@ -68,7 +68,7 @@ type Metrics struct {
 	ConfigHash string         `json:"config_hash"`
 	ClockHz    float64        `json:"clock_hz"`
 	NumSMs     int            `json:"num_sms"`
-	ExecMode   string         `json:"exec_mode,omitempty"` // chip loop that ran: serial, phased, relaxed
+	ExecMode   string         `json:"exec_mode,omitempty"` // chip loop that ran: serial or relaxed
 	Workers    int            `json:"workers,omitempty"`   // resolved compute-worker count of that loop
 	Counters   []CounterValue `json:"counters"`
 	Series     Series         `json:"series"`

@@ -264,11 +264,15 @@ func TestTelemetrySmoke(t *testing.T) {
 
 // TestTelemetryDoesNotPerturbResults is the bit-identity acceptance bar:
 // enabling telemetry must change neither the Result (exact floating point
-// included) nor the config hash, under both the serial and the phased loop.
+// included) nor the config hash, under both the serial and the relaxed loop.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
-	for _, workers := range []int{0, 8} {
+	for _, relaxed := range []bool{false, true} {
 		cfg := gscalar.DefaultConfig()
-		cfg.Workers = workers
+		if relaxed {
+			// Spelled out in normalized form so the hash check below
+			// compares like with like.
+			cfg.Relaxed, cfg.EpochCycles, cfg.Workers = true, gscalar.DefaultEpochCycles, 8
+		}
 		plain, err := runWorkloadVia(t, cfg, gscalar.GScalar, "HS", 1)
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +290,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 
 		assertIdentical(t, "HS", gscalar.GScalar, plain, instrumented)
 		if s.Config().Hash() != cfg.Hash() {
-			t.Errorf("workers=%d: telemetry changed the config hash", workers)
+			t.Errorf("relaxed=%v: telemetry changed the config hash", relaxed)
 		}
 	}
 }

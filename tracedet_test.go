@@ -60,11 +60,13 @@ func metricsJSON(t *testing.T, m *gscalar.Metrics) string {
 	return string(b)
 }
 
-// runSpec simulates one workload spec with telemetry on, under the given
-// worker count, returning the Result and the telemetry blob.
+// runSpec simulates one workload spec with telemetry on, on the serial loop
+// (workers == 0) or on the relaxed loop with that many workers, returning
+// the Result and the telemetry blob.
 func runSpec(t *testing.T, arch gscalar.Arch, spec string, scale, workers int) (gscalar.Result, *gscalar.Metrics) {
 	t.Helper()
 	cfg := gscalar.DefaultConfig()
+	cfg.Relaxed = workers != 0
 	cfg.Workers = workers
 	s, err := gscalar.NewSession(cfg, arch)
 	if err != nil {
@@ -80,9 +82,9 @@ func runSpec(t *testing.T, arch gscalar.Arch, spec string, scale, workers int) (
 
 // TestTraceCaptureReplay is the tracedet gate: every builtin workload is
 // captured once, then replayed from the trace file — under both
-// architectures and under both the serial and the phased chip loop — and
+// architectures and under both the serial and the relaxed chip loop — and
 // each replay must be byte-identical (Result and telemetry, execution
-// metadata stripped) to the corresponding live run. It also asserts the
+// metadata stripped) to the live run on the same loop. It also asserts the
 // capture hook itself perturbs nothing: the capturing run's Result equals
 // the plain live run's.
 func TestTraceCaptureReplay(t *testing.T) {
@@ -113,21 +115,23 @@ func TestTraceCaptureReplay(t *testing.T) {
 					t.Errorf("%s/%s: serial replay telemetry differs from live", abbr, arch)
 				}
 
-				// The phased loop compares like-for-like: its sharded power
-				// meters legitimately sum floats in a different order than
-				// the serial loop, so the oracle for a phased replay is a
-				// phased live run.
-				livePhased, _ := runSpec(t, arch, abbr, 1, 4)
-				phasedRes, _ := runSpec(t, arch, spec, 1, 4)
-				if phasedRes.ExecMode != "phased" {
-					t.Errorf("%s/%s: workers=4 replay ran %q, want phased", abbr, arch, phasedRes.ExecMode)
+				// The relaxed loop compares like-for-like: it perturbs
+				// timing, so the oracle for a relaxed replay is a relaxed
+				// live run, and only the executed program must match serial.
+				liveRelaxed, liveRelaxedMet := runSpec(t, arch, abbr, 1, 4)
+				relaxedRes, relaxedMet := runSpec(t, arch, spec, 1, 4)
+				if relaxedRes.ExecMode != "relaxed" {
+					t.Errorf("%s/%s: relaxed replay ran %q, want relaxed", abbr, arch, relaxedRes.ExecMode)
 				}
-				if got, want := resultJSON(t, phasedRes), resultJSON(t, livePhased); got != want {
-					t.Errorf("%s/%s: phased replay differs from phased live:\n%s\nvs\n%s", abbr, arch, got, want)
+				if got, want := resultJSON(t, relaxedRes), resultJSON(t, liveRelaxed); got != want {
+					t.Errorf("%s/%s: relaxed replay differs from relaxed live:\n%s\nvs\n%s", abbr, arch, got, want)
 				}
-				if phasedRes.WarpInsts != liveRes.WarpInsts || phasedRes.Cycles != liveRes.Cycles {
-					t.Errorf("%s/%s: phased replay cycles/insts (%d, %d) differ from serial live (%d, %d)",
-						abbr, arch, phasedRes.Cycles, phasedRes.WarpInsts, liveRes.Cycles, liveRes.WarpInsts)
+				if got, want := metricsJSON(t, relaxedMet), metricsJSON(t, liveRelaxedMet); got != want {
+					t.Errorf("%s/%s: relaxed replay telemetry differs from relaxed live", abbr, arch)
+				}
+				if relaxedRes.WarpInsts != liveRes.WarpInsts {
+					t.Errorf("%s/%s: relaxed replay retired %d warp insts, serial live %d",
+						abbr, arch, relaxedRes.WarpInsts, liveRes.WarpInsts)
 				}
 			}
 		})
@@ -178,10 +182,11 @@ func TestTraceContentIntegrity(t *testing.T) {
 }
 
 // TestTraceCaptureRejectsParallelLoops pins the capture precondition: the
-// recorded order is only deterministic under the serial loop.
+// recorded order is only deterministic under the serial loop, so both
+// spellings of the relaxed loop are rejected.
 func TestTraceCaptureRejectsParallelLoops(t *testing.T) {
 	for _, mod := range []func(*gscalar.Config){
-		func(c *gscalar.Config) { c.Workers = 4 },
+		func(c *gscalar.Config) { c.Relaxed, c.Workers = true, 4 },
 		func(c *gscalar.Config) { c.EpochCycles = 64 },
 	} {
 		cfg := gscalar.DefaultConfig()
