@@ -7,10 +7,16 @@
 # simulation loop and the experiment prewarm fan-out). The race pass uses
 # -short because the detector slows simulation ~10x; the short subset still
 # drives the full relaxed loop.
+#
+# `make golden` is the end-to-end output gate, kept out of `check` because
+# it takes about 40 s on 2 cores: it builds gscalar-experiments, runs
+# `-exp all -parallel 2` and diffs the output against experiments_output.txt
+# minus its archived last line (EXIT=0), so every table and figure — Fig 1
+# and the Section 6 ablation included — must reproduce byte-for-byte.
 
 GO ?= go
 
-.PHONY: check build test vet race skipdet valcancel relaxdet tracedet telemetry gendet perfsmoke serve fmt fmtcheck bench bench-parallel bench-serve profile
+.PHONY: check build test vet race skipdet valcancel relaxdet tracedet telemetry gendet perfsmoke serve fmt fmtcheck golden bench bench-parallel bench-serve profile
 
 check: fmtcheck build test vet skipdet valcancel relaxdet tracedet telemetry gendet perfsmoke serve race
 
@@ -29,6 +35,13 @@ fmt:
 fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+golden:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/gscalar-experiments" ./cmd/gscalar-experiments && \
+	"$$tmp/gscalar-experiments" -exp all -parallel 2 > "$$tmp/out.txt" && \
+	sed '$$d' experiments_output.txt | diff -u - "$$tmp/out.txt" && \
+	echo "golden: experiments_output.txt reproduced byte-for-byte"
 
 skipdet:
 	$(GO) test -short -run 'TestIdleSkipDeterminism' .

@@ -123,9 +123,7 @@ func TraceKernel(w io.Writer, prog *Program, launch Launch, mem *Memory, maxEven
 	if err != nil {
 		return err
 	}
-	return profile.Trace(w, prog.p, lc, mem.m, profile.TraceOptions{
-		MaxEvents: maxEvents, OnlyCTA: -1, OnlyWarp: -1,
-	})
+	return profile.Trace(w, prog.p, lc, mem.m, maxEvents)
 }
 
 // Workloads returns the Table 2 benchmark abbreviations in table order.

@@ -78,4 +78,9 @@ J:
 	if err := gscalar.TraceKernel(os.Stdout, prog, launch, gscalar.NewMemory(), 3); err != nil {
 		log.Fatal(err)
 	}
+	// Output:
+	// cta0   w0  pc0      [ 4/32 0000000f]  mov r1, %laneid                 r1=0x0,0x1,0x2,0x3,...
+	// cta0   w0  pc1      [ 4/32 0000000f]  isetp.lt p0, r1, 0x2
+	// cta0   w0  pc2    D [ 2/32 00000003]  @p0 bra @5
+	// ... trace truncated at 3 events
 }

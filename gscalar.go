@@ -291,10 +291,10 @@ type Result struct {
 
 	// ExecMode ("serial" or "relaxed") and ResolvedWorkers record how the
 	// run actually executed — the chip loop and the resolved compute-worker
-	// count — so benches and callers can assert what ran rather than what
-	// was requested. They describe the execution, not the simulated
-	// machine: every relaxed worker count produces bit-identical simulation
-	// outputs.
+	// count (for a RunSequence, the most any launch resolved) — so benches
+	// and callers can assert what ran rather than what was requested. They
+	// describe the execution, not the simulated machine: every relaxed
+	// worker count produces bit-identical simulation outputs.
 	ExecMode        string `json:"exec_mode,omitempty"`
 	ResolvedWorkers int    `json:"resolved_workers,omitempty"`
 }

@@ -15,17 +15,18 @@ import (
 // runCustomArch runs one workload under an arbitrary SM-level architecture
 // (for ablations the public Arch enum does not expose). Results are
 // memoized like runner.run's, keyed by the full sm.Arch value — all of its
-// fields are plain values, so the rendering is a faithful content hash.
-func (s *Suite) runCustomArch(abbr string, arch sm.Arch) (gpu.Result, error) {
-	key := fmt.Sprintf("%s|custom:%+v/%s", configKey(s.r.o.Config, s.r.o.Scale), arch, abbr)
+// fields are plain values, so the rendering is a faithful content hash — and
+// by the canonical workload key, as PointKey is.
+func (s *Suite) runCustomArch(spec string, arch sm.Arch) (gpu.Result, error) {
+	src, err := resolve(spec)
+	if err != nil {
+		return gpu.Result{}, err
+	}
+	key := fmt.Sprintf("%s|custom:%+v/%s", configKey(s.r.o.Config, s.r.o.Scale), arch, src.Key())
 	if v, ok := s.r.cache.get(key); ok {
 		return v.(gpu.Result), nil
 	}
-	w, ok := workloads.ByAbbr(abbr)
-	if !ok {
-		return gpu.Result{}, errUnknown(abbr)
-	}
-	inst, err := w.Build(s.r.o.Scale)
+	inst, err := src.Build(s.r.o.Scale)
 	if err != nil {
 		return gpu.Result{}, err
 	}
@@ -50,11 +51,15 @@ func (s *Suite) runCustomArch(abbr string, arch sm.Arch) (gpu.Result, error) {
 	return res, nil
 }
 
-type unknownErr string
-
-func (e unknownErr) Error() string { return "experiments: unknown workload " + string(e) }
-
-func errUnknown(abbr string) error { return unknownErr(abbr) }
+// resolve maps a workload spec onto its source the way Session does: a
+// Table 2 abbreviation, "gen:<dials>" or "trace:<path>".
+func resolve(spec string) (workloads.Source, error) {
+	src, err := workloads.Resolve(spec)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	return src, nil
+}
 
 // HalfAblationRow quantifies §4.3's design choice: half-warp scalar
 // execution (and its second BVR/EBR set) versus plain G-Scalar.

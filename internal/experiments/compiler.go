@@ -3,20 +3,9 @@ package experiments
 import (
 	"gscalar"
 
-	"gscalar/internal/asm"
-	"gscalar/internal/kernel"
+	"gscalar/internal/profile"
 	"gscalar/internal/stats"
-	"gscalar/internal/warp"
-	"gscalar/internal/workloads"
 )
-
-// StaticUniform reports, per static instruction, whether a compile-time
-// scalarizer (à la Lee et al., CGO\'13 — the paper\'s §6 comparison) could
-// prove the instruction warp-uniform. It is a thin wrapper over the asm
-// package\'s static uniformity/divergence analysis.
-func StaticUniform(p *kernel.Program) []bool {
-	return asm.Analyze(p).UniformInst
-}
 
 // CompilerScalarRow compares compile-time scalarization coverage with
 // G-Scalar's dynamic detection for one benchmark.
@@ -27,36 +16,32 @@ type CompilerScalarRow struct {
 	Shortfall float64 // 1 - Static/Dynamic
 }
 
-// CompilerScalar runs the §6 ablation: dynamic execution counts are
-// gathered per static instruction, then weighted by the compile-time
-// uniformity analysis. The paper reports a compiler-assisted method
-// captured 24 % fewer scalarisable instructions than G-Scalar.
+// CompilerScalar runs the §6 ablation: the profiler weights each static
+// instruction's dynamic execution count (on the functional model) by the
+// compile-time uniformity analysis. The paper reports a compiler-assisted
+// method captured 24 % fewer scalarisable instructions than G-Scalar.
 func (s *Suite) CompilerScalar() ([]CompilerScalarRow, error) {
 	var rows []CompilerScalarRow
-	for _, abbr := range s.r.o.Workloads {
-		w, _ := workloads.ByAbbr(abbr)
-		inst, err := w.Build(s.r.o.Scale)
+	for _, spec := range s.r.o.Workloads {
+		src, err := resolve(spec)
 		if err != nil {
 			return nil, err
 		}
-		static := StaticUniform(inst.Prog)
-		counts, total, err := dynamicCounts(inst)
+		inst, err := src.Build(s.r.o.Scale)
 		if err != nil {
 			return nil, err
 		}
-		var covered uint64
-		for pc, ok := range static {
-			if ok {
-				covered += counts[pc]
-			}
+		prof, err := profile.Run(inst.Prog, inst.Launch, inst.Mem, 0)
+		if err != nil {
+			return nil, err
 		}
-		res, err := s.r.run(gscalar.GScalar, abbr)
+		res, err := s.r.run(gscalar.GScalar, spec)
 		if err != nil {
 			return nil, err
 		}
 		row := CompilerScalarRow{
-			Abbr:    abbr,
-			Static:  float64(covered) / float64(total),
+			Abbr:    spec,
+			Static:  prof.Summarise().FracStaticUniform,
 			Dynamic: res.Eligibility.Total(),
 		}
 		if row.Dynamic > 0 {
@@ -66,67 +51,6 @@ func (s *Suite) CompilerScalar() ([]CompilerScalarRow, error) {
 	}
 	return rows, nil
 }
-
-// dynamicCounts executes the workload functionally, counting dynamic
-// executions per static instruction.
-func dynamicCounts(inst *workloads.Instance) (counts []uint64, total uint64, err error) {
-	prog, lc := inst.Prog, inst.Launch
-	counts = make([]uint64, prog.Len())
-	for cta := 0; cta < lc.Grid.Count(); cta++ {
-		warps := warp.BuildCTA(prog, lc, cta, 32, 0)
-		ctx := &warp.Context{
-			Prog: prog, Launch: lc, Global: inst.Mem,
-			Shared: make([]uint32, (lc.SharedBytes+3)/4),
-		}
-		for {
-			progress, allDone := false, true
-			atBarrier, live := 0, 0
-			for _, w := range warps {
-				switch w.Status() {
-				case warp.StatusDone:
-					continue
-				case warp.StatusBarrier:
-					allDone = false
-					atBarrier++
-					live++
-					continue
-				}
-				allDone = false
-				live++
-				for w.Status() == warp.StatusReady {
-					out, e := w.Execute(ctx)
-					if e != nil {
-						return nil, 0, e
-					}
-					counts[out.PC]++
-					total++
-					progress = true
-				}
-			}
-			if allDone {
-				break
-			}
-			if atBarrier == live && atBarrier > 0 {
-				for _, w := range warps {
-					if w.Status() == warp.StatusBarrier {
-						w.ClearBarrier()
-					}
-				}
-				progress = true
-			}
-			if !progress {
-				return nil, 0, errDeadlock(inst.Prog.Name)
-			}
-		}
-	}
-	return counts, total, nil
-}
-
-type deadlockError string
-
-func (e deadlockError) Error() string { return "experiments: barrier deadlock in " + string(e) }
-
-func errDeadlock(name string) error { return deadlockError(name) }
 
 // FormatCompilerScalar renders the §6 ablation table.
 func FormatCompilerScalar(rows []CompilerScalarRow) string {

@@ -210,3 +210,25 @@ func TestAblationLowersChipLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationsAcceptGenSpecs pins that every ablation resolves its
+// workloads the way Session does, so a synthetic gen: kernel runs through
+// all four of them.
+func TestAblationsAcceptGenSpecs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	cfg := gscalar.DefaultConfig()
+	cfg.NumSMs = 2
+	s := NewSuite(Options{Config: cfg, Workloads: []string{"gen:div=0.3,occ=0.1"}})
+	for name, run := range map[string]func() error{
+		"compiler":   func() error { _, err := s.CompilerScalar(); return err },
+		"sched":      func() error { _, err := s.SchedAblation(); return err },
+		"half":       func() error { _, err := s.HalfAblation(); return err },
+		"scalarbank": func() error { _, err := s.ScalarBankAblation(); return err },
+	} {
+		if err := run(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"gscalar/internal/gpu"
 	"gscalar/internal/sm"
 	"gscalar/internal/stats"
-	"gscalar/internal/workloads"
 )
 
 // SchedRow compares warp-scheduling policies under G-Scalar. The paper's
@@ -25,13 +24,13 @@ type SchedRow struct {
 // SchedAblation runs every benchmark under GTO and LRR scheduling.
 func (s *Suite) SchedAblation() ([]SchedRow, error) {
 	var rows []SchedRow
-	for _, abbr := range s.r.o.Workloads {
-		w, ok := workloads.ByAbbr(abbr)
-		if !ok {
-			return nil, errUnknown(abbr)
+	for _, spec := range s.r.o.Workloads {
+		src, err := resolve(spec)
+		if err != nil {
+			return nil, err
 		}
 		run := func(pol sm.SchedPolicy) (gpu.Result, error) {
-			inst, err := w.Build(s.r.o.Scale)
+			inst, err := src.Build(s.r.o.Scale)
 			if err != nil {
 				return gpu.Result{}, err
 			}
@@ -49,7 +48,7 @@ func (s *Suite) SchedAblation() ([]SchedRow, error) {
 			return nil, err
 		}
 		rows = append(rows, SchedRow{
-			Abbr:    abbr,
+			Abbr:    spec,
 			GTOIPC:  gto.IPC,
 			LRRIPC:  lrr.IPC,
 			GTOElig: float64(gto.Stats.EligibleTotal()) / float64(gto.Stats.WarpInsts),

@@ -16,33 +16,27 @@ type Step struct {
 	Launch *kernel.LaunchConfig
 }
 
-// RunSequence simulates a dependent sequence of kernel launches sharing one
-// device memory. It is RunSequenceContext with a background context.
-func RunSequence(cfg Config, arch sm.Arch, gmem *kernel.Memory, steps []Step) (Result, error) {
-	return RunSequenceContext(context.Background(), cfg, arch, gmem, steps)
-}
-
 // RunSequenceContext simulates a dependent sequence of kernel launches
 // sharing one device memory — the way real applications run (e.g. srad's two
 // passes, or an iterative stencil). Launches are serialised by an implicit
 // device-level barrier, cycles accumulate across launches, and energy is
 // integrated over the whole sequence, so the returned Result is directly
-// comparable to a single-launch Run. Cancelling ctx cuts the sequence at the
-// in-flight launch's next lifecycle checkpoint; the Result then aggregates
-// every completed launch plus the cancelled launch's partial prefix.
+// comparable to a single-launch Run; a single launch is the one-step case.
+// ExecMode is the chip loop every launch ran on and Workers the most any
+// launch resolved. Cancelling ctx cuts the sequence at the in-flight
+// launch's next lifecycle checkpoint; the Result then aggregates every
+// completed launch plus the cancelled launch's partial prefix.
 func RunSequenceContext(ctx context.Context, cfg Config, arch sm.Arch, gmem *kernel.Memory, steps []Step) (Result, error) {
 	if len(steps) == 0 {
 		return Result{}, fmt.Errorf("gpu: empty launch sequence")
 	}
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 200_000_000
-	}
+	maxCycles := cfg.effectiveMaxCycles()
 
 	var meter power.Meter
 	var agg stats.Sim
 	var totalCycles uint64
-	anyCodec := arch.HasCodec()
+	var mode string
+	var workers int
 	var runErr error
 
 	for i, st := range steps {
@@ -56,27 +50,38 @@ func RunSequenceContext(ctx context.Context, cfg Config, arch sm.Arch, gmem *ker
 		r, err := runWithMeter(ctx, stepCfg, arch, st.Prog, st.Launch, gmem, &meter)
 		totalCycles += r.Cycles
 		agg.Add(&r.Stats)
+		if r.Mode != "" {
+			mode = r.Mode
+		}
+		workers = max(workers, r.Workers)
 		if err != nil {
-			if !isContextErr(err) {
-				return Result{}, fmt.Errorf("gpu: launch %d (%s): %w", i, st.Prog.Name, err)
+			// A single launch's errors surface as they are.
+			if len(steps) > 1 {
+				err = fmt.Errorf("gpu: launch %d (%s): %w", i, st.Prog.Name, err)
 			}
-			runErr = fmt.Errorf("gpu: launch %d (%s): %w", i, st.Prog.Name, err)
+			if !isContextErr(err) {
+				return Result{}, err
+			}
+			runErr = err
 			break
 		}
 	}
 	agg.Cycles = totalCycles
 
-	staticW := cfg.Energies.StaticW(cfg.NumSMs, anyCodec)
+	staticW := cfg.Energies.StaticW(cfg.NumSMs, arch.HasCodec())
 	bd := meter.Finish(totalCycles, cfg.CoreClockHz, staticW)
+	// Finalize after Finish so the power gauges capture the static bucket.
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Finalize()
 	}
 	res := Result{
-		Cycles:  totalCycles,
-		Stats:   agg,
-		Power:   bd,
-		IPC:     agg.IPC(),
-		EnergyJ: bd.EnergyJ,
+		Cycles:   totalCycles,
+		Stats:    agg,
+		Power:    bd,
+		IPC:      agg.IPC(),
+		EnergyJ:  bd.EnergyJ,
+		ExecMode: mode,
+		Workers:  workers,
 	}
 	if bd.AvgPowerW > 0 {
 		res.IPCPerW = res.IPC / bd.AvgPowerW

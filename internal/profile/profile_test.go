@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"strings"
 	"testing"
 
 	"gscalar/internal/asm"
@@ -52,9 +51,23 @@ J:
 		t.Errorf("branch side lanes = %v, want 16", lanes)
 	}
 
-	lst := p.Listing()
-	if !strings.Contains(lst, "prof") || !strings.Contains(lst, "imul") {
-		t.Errorf("listing incomplete:\n%s", lst)
+	const wantListing = `prof: 84 warp-insts, 2304 thread-insts
+   pc       execs  lanes   div%   uni%  static  instruction
+    0           4   32.0     0%     0%  -       mov r1, %tid.x
+    1           4   32.0     0%   100%  unif    mov r2, 0x0
+    2          16   32.0     0%   100%  unif    iadd r2, r2, 0x1
+    3          16   32.0     0%   100%  unif    isetp.lt p0, r2, 0x4
+    4          16   24.0    25%     0%  -       @p0 bra @2
+    5           4   32.0     0%     0%  -       and r3, r1, 0x1
+    6           4   32.0     0%     0%  -       isetp.eq p1, r3, 0x0
+    7           4   16.0   100%     0%  div     @p1 bra @10
+    8           4   16.0   100%     0%  div     imul r4, r1, 0x3
+    9           4   16.0   100%     0%  div     bra @11
+   10           4   16.0   100%     0%  div     iadd r4, r1, 0x7
+   11           4   32.0     0%     0%  -       exit
+`
+	if lst := p.Listing(); lst != wantListing {
+		t.Errorf("listing:\n%s\nwant:\n%s", lst, wantListing)
 	}
 
 	sum := p.Summarise()

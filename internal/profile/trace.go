@@ -8,85 +8,32 @@ import (
 	"gscalar/internal/warp"
 )
 
-// TraceOptions filters the instruction trace.
-type TraceOptions struct {
-	MaxEvents int  // stop after this many trace lines (0 = 10000)
-	OnlyCTA   int  // trace only this CTA (-1 = all)
-	OnlyWarp  int  // trace only this warp within its CTA (-1 = all)
-	Divergent bool // trace only divergent instructions
-}
-
-// Trace functionally executes the launch, writing one line per dynamic
-// warp instruction to w:
+// Trace functionally executes the launch (warp.FuncRun), writing one line
+// per dynamic warp instruction to w:
 //
 //	cta warp pc | active-mask | instruction | dst=value(s)
 //
 // Uniform destination vectors print once; non-uniform ones print the first
-// few lanes. Trace is the instruction-level companion to the aggregate
-// profiler and is intended for debugging kernels and the simulator itself.
-func Trace(out io.Writer, prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, opt TraceOptions) error {
-	if opt.MaxEvents == 0 {
-		opt.MaxEvents = 10000
+// few lanes. The trace stops after maxEvents lines (0 = 10000). Trace is the
+// instruction-level companion to the aggregate profiler and is intended for
+// debugging kernels and the simulator itself.
+func Trace(out io.Writer, prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, maxEvents int) error {
+	if maxEvents == 0 {
+		maxEvents = 10000
 	}
 	events := 0
-	for cta := 0; cta < lc.Grid.Count(); cta++ {
-		if opt.OnlyCTA >= 0 && cta != opt.OnlyCTA {
-			continue
-		}
-		warps := warp.BuildCTA(prog, lc, cta, 32, 0)
-		ctx := &warp.Context{
-			Prog: prog, Launch: lc, Global: mem,
-			Shared: make([]uint32, (lc.SharedBytes+3)/4),
-		}
-		for {
-			progress, allDone := false, true
-			atBarrier, live := 0, 0
-			for _, w := range warps {
-				switch w.Status() {
-				case warp.StatusDone:
-					continue
-				case warp.StatusBarrier:
-					allDone = false
-					atBarrier++
-					live++
-					continue
-				}
-				allDone = false
-				live++
-				for w.Status() == warp.StatusReady {
-					o, err := w.Execute(ctx)
-					if err != nil {
-						return err
-					}
-					progress = true
-					if opt.OnlyWarp >= 0 && w.ID != opt.OnlyWarp {
-						continue
-					}
-					if opt.Divergent && !o.Divergent {
-						continue
-					}
-					writeEvent(out, cta, w, &o)
-					if events++; events >= opt.MaxEvents {
-						fmt.Fprintf(out, "... trace truncated at %d events\n", opt.MaxEvents)
-						return nil
-					}
-				}
+	_, err := warp.FuncRunObserved(prog, lc, mem, 32, 0, warp.Observer{
+		After: func(cta int, w *warp.Warp, o *warp.Outcome) bool {
+			writeEvent(out, cta, w, o)
+			if events++; events >= maxEvents {
+				fmt.Fprintf(out, "... trace truncated at %d events\n", maxEvents)
+				return false
 			}
-			if allDone {
-				break
-			}
-			if atBarrier == live && atBarrier > 0 {
-				for _, w := range warps {
-					if w.Status() == warp.StatusBarrier {
-						w.ClearBarrier()
-					}
-				}
-				progress = true
-			}
-			if !progress {
-				return fmt.Errorf("profile: barrier deadlock in %s", prog.Name)
-			}
-		}
+			return true
+		},
+	})
+	if err != nil {
+		return fmt.Errorf("profile: %w", err)
 	}
 	return nil
 }
@@ -96,12 +43,12 @@ func writeEvent(out io.Writer, cta int, w *warp.Warp, o *warp.Outcome) {
 	if o.Divergent {
 		div = "D"
 	}
-	fmt.Fprintf(out, "cta%-3d w%-2d pc%-4d %s %s  %-30s", cta, w.ID, o.PC, div,
-		maskBrief(o.Active, w.Width), o.Inst.String())
+	fmt.Fprintf(out, "cta%-3d w%-2d pc%-4d %s %s  ", cta, w.ID, o.PC, div, maskBrief(o.Active, w.Width))
 	if o.DstReg >= 0 {
-		fmt.Fprintf(out, "  r%d=%s", o.DstReg, vecBrief(o.DstVec, o.Active))
+		fmt.Fprintf(out, "%-30s  r%d=%s\n", o.Inst.String(), o.DstReg, vecBrief(o.DstVec, o.Active))
+	} else {
+		fmt.Fprintln(out, o.Inst.String())
 	}
-	fmt.Fprintln(out)
 }
 
 // maskBrief renders an active mask compactly: "full", a count, or hex.

@@ -3,6 +3,7 @@ package warp
 import (
 	"fmt"
 
+	"gscalar/internal/isa"
 	"gscalar/internal/kernel"
 )
 
@@ -54,6 +55,24 @@ type FuncRunResult struct {
 // the timed simulator is checked against. maxInsts bounds runaway kernels
 // (0 means a large default).
 func FuncRun(prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, warpWidth int, maxInsts uint64) (FuncRunResult, error) {
+	return FuncRunObserved(prog, lc, mem, warpWidth, maxInsts, Observer{})
+}
+
+// Observer watches a functional run one dynamic warp instruction at a time.
+// Either hook may be nil.
+type Observer struct {
+	// Before sees the warp just before it executes in under the active mask
+	// (guard applied): its registers still hold the instruction's sources.
+	Before func(w *Warp, in *isa.Instruction, active Mask)
+	// After sees the executed instruction's Outcome. Returning false ends
+	// the whole run early, without an error.
+	After func(cta int, w *Warp, out *Outcome) bool
+}
+
+// FuncRunObserved is FuncRun with obs called around every instruction. The
+// profiler, the tracer and the compile-time ablation are observers on this
+// one loop, so every functional metric comes from the golden model.
+func FuncRunObserved(prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, warpWidth int, maxInsts uint64, obs Observer) (FuncRunResult, error) {
 	var res FuncRunResult
 	if maxInsts == 0 {
 		maxInsts = 1 << 32
@@ -67,14 +86,20 @@ func FuncRun(prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory, 
 			Global: mem,
 			Shared: make([]uint32, (lc.SharedBytes+3)/4),
 		}
-		if err := runCTA(ctx, warps, &res, maxInsts); err != nil {
+		stopped, err := runCTA(ctx, cta, warps, &res, maxInsts, &obs)
+		if err != nil {
 			return res, fmt.Errorf("cta %d: %w", cta, err)
+		}
+		if stopped {
+			break
 		}
 	}
 	return res, nil
 }
 
-func runCTA(ctx *Context, warps []*Warp, res *FuncRunResult, maxInsts uint64) error {
+// runCTA runs one CTA to completion; stopped reports that obs.After ended
+// the run.
+func runCTA(ctx *Context, cta int, warps []*Warp, res *FuncRunResult, maxInsts uint64, obs *Observer) (stopped bool, err error) {
 	for {
 		progress := false
 		allDone := true
@@ -96,9 +121,14 @@ func runCTA(ctx *Context, warps []*Warp, res *FuncRunResult, maxInsts uint64) er
 			// the functional model fast; round-robin only matters at
 			// barriers.
 			for w.Status() == StatusReady {
+				if obs.Before != nil {
+					if _, in, active, ok := w.Peek(ctx); ok {
+						obs.Before(w, in, active)
+					}
+				}
 				out, err := w.Execute(ctx)
 				if err != nil {
-					return err
+					return false, err
 				}
 				res.WarpInsts++
 				res.ThreadInsts += uint64(PopCount(out.Active))
@@ -106,13 +136,16 @@ func runCTA(ctx *Context, warps []*Warp, res *FuncRunResult, maxInsts uint64) er
 					res.DivergentInsts++
 				}
 				progress = true
+				if obs.After != nil && !obs.After(cta, w, &out) {
+					return true, nil
+				}
 				if res.WarpInsts > maxInsts {
-					return fmt.Errorf("warp: instruction budget %d exceeded (runaway kernel?)", maxInsts)
+					return false, fmt.Errorf("warp: instruction budget %d exceeded (runaway kernel?)", maxInsts)
 				}
 			}
 		}
 		if allDone {
-			return nil
+			return false, nil
 		}
 		// Release barrier when every live warp has arrived.
 		if atBarrier == live && atBarrier > 0 {
@@ -124,7 +157,7 @@ func runCTA(ctx *Context, warps []*Warp, res *FuncRunResult, maxInsts uint64) er
 			progress = true
 		}
 		if !progress {
-			return fmt.Errorf("warp: deadlock — %d/%d warps at barrier", atBarrier, live)
+			return false, fmt.Errorf("warp: deadlock — %d/%d warps at barrier", atBarrier, live)
 		}
 	}
 }

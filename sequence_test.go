@@ -49,23 +49,38 @@ func TestRunSequence(t *testing.T) {
 	}
 
 	const n = 1024
-	mem := NewMemory()
-	mid := mem.Alloc(n * 4)
-	out := mem.Alloc(n * 4)
-	seq := []KernelLaunch{
-		{producer, Launch{GridX: n / 128, BlockX: 128, Params: []uint32{mid}}},
-		{consumer, Launch{GridX: n / 128, BlockX: 128, Params: []uint32{mid, out}}},
+	runSeq := func(cfg Config) Result {
+		t.Helper()
+		mem := NewMemory()
+		mid := mem.Alloc(n * 4)
+		out := mem.Alloc(n * 4)
+		seq := []KernelLaunch{
+			{producer, Launch{GridX: n / 128, BlockX: 128, Params: []uint32{mid}}},
+			{consumer, Launch{GridX: n / 128, BlockX: 128, Params: []uint32{mid, out}}},
+		}
+		res, err := newSessionT(t, cfg, GScalar).RunSequence(context.Background(), mem, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range mem.ReadU32(out, n) {
+			if v != uint32(i*3+100) {
+				t.Fatalf("out[%d] = %d, want %d", i, v, i*3+100)
+			}
+		}
+		return res
 	}
 	cfg := DefaultConfig()
 	cfg.NumSMs = 2
-	res, err := newSessionT(t, cfg, GScalar).RunSequence(context.Background(), mem, seq)
-	if err != nil {
-		t.Fatal(err)
+	res := runSeq(cfg)
+
+	// A sequence reports the chip loop it ran on, like a single launch.
+	if res.ExecMode != "serial" || res.ResolvedWorkers != 1 {
+		t.Errorf("serial sequence ran %q with %d workers, want serial with 1", res.ExecMode, res.ResolvedWorkers)
 	}
-	for i, v := range mem.ReadU32(out, n) {
-		if v != uint32(i*3+100) {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*3+100)
-		}
+	relaxed := cfg
+	relaxed.Relaxed, relaxed.Workers = true, 2
+	if r := runSeq(relaxed); r.ExecMode != "relaxed" || r.ResolvedWorkers < 1 {
+		t.Errorf("relaxed sequence ran %q with %d workers, want relaxed with >= 1", r.ExecMode, r.ResolvedWorkers)
 	}
 
 	// The sequence totals must exceed either launch alone.

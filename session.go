@@ -134,12 +134,15 @@ func (s *Session) wrapErr(what string, err error) error {
 	return fmt.Errorf("gscalar: %s on %s: %w", what, s.arch, err)
 }
 
-// newCapture starts a trace capture for a single-launch run, or returns
-// (nil, nil) when capture is disabled. It must be called before simulation
+// newCapture starts a trace capture of a one-step run, or returns (nil,
+// nil) when capture is disabled. It must be called before simulation
 // starts: the initial memory image is snapshotted here.
-func (s *Session) newCapture(workload string, scale int, prog *kernel.Program, lc *kernel.LaunchConfig, mem *kernel.Memory) (*trace.Capture, error) {
+func (s *Session) newCapture(workload string, scale int, mem *kernel.Memory, steps []gpu.Step) (*trace.Capture, error) {
 	if s.Capture.Path == "" {
 		return nil, nil
+	}
+	if len(steps) != 1 {
+		return nil, fmt.Errorf("trace capture covers exactly one kernel launch; it cannot record a multi-launch sequence")
 	}
 	if s.cfg.Relaxed {
 		return nil, fmt.Errorf("trace capture requires the serial chip loop; got Relaxed with EpochCycles=%d", s.cfg.EpochCycles)
@@ -150,7 +153,7 @@ func (s *Session) newCapture(workload string, scale int, prog *kernel.Program, l
 		Scale:      scale,
 		ConfigHash: s.cfg.Hash(),
 		WarpSize:   s.cfg.WarpSize,
-	}, prog, lc, mem), nil
+	}, steps[0].Prog, steps[0].Launch, mem), nil
 }
 
 // finishCapture writes the captured trace after a successful run. A failed
@@ -163,6 +166,24 @@ func (s *Session) finishCapture(cap *trace.Capture, runErr error) error {
 	return cap.WriteFile(s.Capture.Path)
 }
 
+// run is the one timed-run body behind Run, RunWorkload and RunSequence: a
+// single launch is a one-step sequence. label names the run in errors,
+// metrics and the captured trace.
+func (s *Session) run(ctx context.Context, label string, scale int, mem *kernel.Memory, steps []gpu.Step) (Result, error) {
+	cap, err := s.newCapture(label, scale, mem, steps)
+	if err != nil {
+		return Result{}, s.wrapErr(label, err)
+	}
+	g, rec := s.lower()
+	if cap != nil {
+		g.ExecTrace = cap.Record
+	}
+	r, err := gpu.RunSequenceContext(ctx, g, s.arch.model(), mem, steps)
+	s.finishMetrics(rec, label)
+	err = s.finishCapture(cap, err)
+	return resultFrom(r), s.wrapErr(label, err)
+}
+
 // Run simulates an assembled program. On cancellation the returned Result
 // holds the partial statistics accumulated so far (see Session).
 func (s *Session) Run(ctx context.Context, prog *Program, launch Launch, mem *Memory) (Result, error) {
@@ -170,18 +191,7 @@ func (s *Session) Run(ctx context.Context, prog *Program, launch Launch, mem *Me
 	if err != nil {
 		return Result{}, err
 	}
-	cap, err := s.newCapture(prog.Name(), 0, prog.p, lc, mem.m)
-	if err != nil {
-		return Result{}, s.wrapErr(prog.Name(), err)
-	}
-	g, rec := s.lower()
-	if cap != nil {
-		g.ExecTrace = cap.Record
-	}
-	r, err := gpu.RunContext(ctx, g, s.arch.model(), prog.p, lc, mem.m)
-	s.finishMetrics(rec, prog.Name())
-	err = s.finishCapture(cap, err)
-	return resultFrom(r), s.wrapErr(prog.Name(), err)
+	return s.run(ctx, prog.Name(), 0, mem.m, []gpu.Step{{Prog: prog.p, Launch: lc}})
 }
 
 // RunWorkload resolves a workload spec — a Table 2 abbreviation ("HS") or a
@@ -233,29 +243,16 @@ func resolveWorkload(spec string) (workloads.Source, error) {
 // without the golden-output check (sweeps that deliberately skip it reuse
 // this path).
 func (s *Session) runInstance(ctx context.Context, label string, scale int, inst *workloads.Instance) (Result, error) {
-	cap, err := s.newCapture(label, scale, inst.Prog, inst.Launch, inst.Mem)
-	if err != nil {
-		return Result{}, s.wrapErr(label, err)
-	}
-	g, rec := s.lower()
-	if cap != nil {
-		g.ExecTrace = cap.Record
-	}
-	r, err := gpu.RunContext(ctx, g, s.arch.model(), inst.Prog, inst.Launch, inst.Mem)
-	s.finishMetrics(rec, label)
-	err = s.finishCapture(cap, err)
-	return resultFrom(r), s.wrapErr(label, err)
+	return s.run(ctx, label, scale, inst.Mem, []gpu.Step{{Prog: inst.Prog, Launch: inst.Launch}})
 }
 
 // RunSequence simulates a dependent sequence of kernel launches sharing the
 // given device memory (serialised by an implicit device barrier, as CUDA
 // streams would for dependent kernels). Cycles and energy accumulate across
 // the whole sequence; a cancelled sequence returns the aggregate of every
-// completed launch plus the in-flight launch's partial prefix.
+// completed launch plus the in-flight launch's partial prefix. Capture
+// records one-step sequences only.
 func (s *Session) RunSequence(ctx context.Context, mem *Memory, seq []KernelLaunch) (Result, error) {
-	if s.Capture.Path != "" {
-		return Result{}, s.wrapErr("sequence", fmt.Errorf("trace capture covers exactly one kernel launch; it cannot record a multi-launch sequence"))
-	}
 	steps := make([]gpu.Step, 0, len(seq))
 	for _, kl := range seq {
 		lc, err := kl.Launch.toKernel()
@@ -264,10 +261,7 @@ func (s *Session) RunSequence(ctx context.Context, mem *Memory, seq []KernelLaun
 		}
 		steps = append(steps, gpu.Step{Prog: kl.Prog.p, Launch: lc})
 	}
-	g, rec := s.lower()
-	r, err := gpu.RunSequenceContext(ctx, g, s.arch.model(), mem.m, steps)
-	s.finishMetrics(rec, "sequence")
-	return resultFrom(r), s.wrapErr("sequence", err)
+	return s.run(ctx, "sequence", 0, mem.m, steps)
 }
 
 // WarpSizeSweep reproduces Figure 10: the fraction of instructions eligible

@@ -202,6 +202,68 @@ func TestTraceCaptureRejectsParallelLoops(t *testing.T) {
 	}
 }
 
+// TestTraceCaptureSequence pins capture on RunSequence: a one-step sequence
+// is a single launch and records a replayable trace, while a multi-launch
+// sequence is rejected and writes nothing.
+func TestTraceCaptureSequence(t *testing.T) {
+	prog, err := gscalar.Assemble(`
+.kernel scale3
+	mov  r1, %tid.x
+	imad r2, %ctaid.x, %ntid.x, r1
+	imul r3, r2, 3
+	shl  r4, r2, 2
+	iadd r5, $0, r4
+	stg  [r5], r3
+	exit
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := gscalar.DefaultConfig()
+	cfg.NumSMs = 2
+	run := func(steps int, path string) (gscalar.Result, error) {
+		s, err := gscalar.NewSession(cfg, gscalar.GScalar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Capture.Path = path
+		mem := gscalar.NewMemory()
+		out := mem.Alloc(256 * 4)
+		kl := gscalar.KernelLaunch{Prog: prog, Launch: gscalar.Launch{GridX: 2, BlockX: 128, Params: []uint32{out}}}
+		seq := make([]gscalar.KernelLaunch, steps)
+		for i := range seq {
+			seq[i] = kl
+		}
+		return s.RunSequence(context.Background(), mem, seq)
+	}
+
+	dir := t.TempDir()
+	two := filepath.Join(dir, "two.gstr")
+	if _, err := run(2, two); err == nil || !strings.Contains(err.Error(), "multi-launch") {
+		t.Errorf("two-step capture: err = %v, want the multi-launch rejection", err)
+	}
+	if _, err := trace.ReadFile(two); err == nil {
+		t.Error("rejected two-step capture wrote a trace")
+	}
+
+	one := filepath.Join(dir, "one.gstr")
+	live, err := run(1, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := gscalar.NewSession(cfg, gscalar.GScalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := s.RunWorkload(context.Background(), "trace:"+one, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resultJSON(t, replay), resultJSON(t, live); got != want {
+		t.Errorf("one-step sequence replay differs from the live run:\nreplay %s\nlive   %s", got, want)
+	}
+}
+
 // TestUnknownWorkloadSpec pins the error contract: an unknown spec names
 // the valid workloads, and a trace spec pointing at a missing or truncated
 // file surfaces the trace package's typed errors.
