@@ -16,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet race skipdet valcancel relaxdet tracedet telemetry gendet perfsmoke serve fmt fmtcheck golden bench bench-parallel bench-serve profile
+.PHONY: check build test vet race skipdet valcancel relaxdet tracedet telemetry gendet perfsmoke serve fmt fmtcheck golden bench bench-parallel bench-serve profile profile-layers
 
 check: fmtcheck build test vet skipdet valcancel relaxdet tracedet telemetry gendet perfsmoke serve race
 
@@ -139,3 +139,21 @@ profile:
 	$(GO) tool pprof -top -nodecount=10 gscalar-sim.prof.bin $(PROFILE_BENCH).cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space \
 		gscalar-sim.prof.bin $(PROFILE_BENCH).mem.pprof
+
+# Per-layer host-time shares: a CPU profile of `gscalar-sim -all` (the 17
+# builtins on G-Scalar, serial loop) folded by Go package. Each row is the
+# package's self ("flat") time in ms and as a share of all samples.
+# gscalar/internal/X prints as X, the root package as gscalar, the CLI as
+# main, and assembly symbols without a package (gcWriteBarrier) count as
+# runtime. One run holds about 250 samples, so a share moves by a point or
+# two between runs.
+profile-layers:
+	$(GO) build -o gscalar-sim.prof.bin ./cmd/gscalar-sim
+	./gscalar-sim.prof.bin -all -arch gscalar -cpuprofile layers.cpu.pprof > /dev/null
+	@$(GO) tool pprof -top -unit=ms -nodefraction=0 -nodecount=0 gscalar-sim.prof.bin layers.cpu.pprof 2>/dev/null | \
+	awk '$$2 ~ /%$$/ && NF >= 6 { \
+		n = split($$6, p, "/"); d = index(p[n], "."); \
+		pkg = d ? substr($$6, 1, length($$6) - length(p[n]) + d - 1) : "runtime"; \
+		sub(/^gscalar\/internal\//, "", pkg); sub(/ms$$/, "", $$1); sub(/%$$/, "", $$2); \
+		ms[pkg] += $$1; share[pkg] += $$2 } \
+	END { for (k in share) if (share[k] > 0) printf "%-22s %7.0f ms %6.2f%%\n", k, ms[k], share[k] }' | sort -k4 -rn

@@ -25,12 +25,15 @@ func (s *SM) issue() {
 // GTO walks the scheduler's pre-sorted age list (schedWarps); LRR walks the
 // warp slots in rotation order starting after the last issued one. Both
 // visit candidates in exactly the order the previous sort-per-cycle
-// implementation produced. The age list is snapshotted into a reusable
-// scratch buffer first because tryIssueWarp can retire warps (Peek
-// exhaustion), which edits the list mid-walk.
+// implementation produced, skipping warps whose readyBits bit is clear: for
+// those tryIssueWarp returns false before any side effect, and a failed
+// attempt never changes another warp's readiness. The ready part of the age
+// list is snapshotted into a reusable scratch buffer first because
+// tryIssueWarp can retire warps (Peek exhaustion), which edits the list
+// mid-walk.
 func (s *SM) issueFrom(sched int) {
 	last := s.lastIssued[sched]
-	if s.cfg.Sched == SchedGTO && last >= 0 && s.tryIssueWarp(sched, last) {
+	if s.cfg.Sched == SchedGTO && last >= 0 && s.isReady(last) && s.tryIssueWarp(sched, last) {
 		// Greedy: stick with the last warp while it can issue.
 		return
 	}
@@ -38,7 +41,7 @@ func (s *SM) issueFrom(sched int) {
 		n := len(s.warps)
 		for d := 0; d < n; d++ {
 			wi := (last + 1 + d) % n
-			if wi%s.cfg.Schedulers != sched {
+			if wi%s.cfg.Schedulers != sched || !s.isReady(wi) {
 				continue
 			}
 			if s.tryIssueWarp(sched, wi) {
@@ -47,12 +50,14 @@ func (s *SM) issueFrom(sched int) {
 		}
 		return
 	}
-	cands := append(s.candScratch[:0], s.schedWarps[sched]...)
+	cands := s.candScratch[:0]
+	for _, wi := range s.schedWarps[sched] {
+		if wi != last && s.isReady(wi) {
+			cands = append(cands, wi)
+		}
+	}
 	s.candScratch = cands[:0]
 	for _, wi := range cands {
-		if wi == last {
-			continue
-		}
 		if s.tryIssueWarp(sched, wi) {
 			return
 		}
@@ -144,21 +149,24 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 		predUniform = wc.meta.SourcesScalarForPred(in, active)
 	}
 
+	// Execute straight into the collector's resident Outcome (front-end-only
+	// instructions use the SM's scratch one); address generation writes
+	// into the collector's resident scratch, so memory instructions
+	// allocate no per-access address vector.
+	out := &s.ctrlOut
 	if !isCtrl {
-		// Address generation writes into the collector's resident scratch
-		// so memory instructions allocate no per-access address vector.
+		out = &s.collectors[free].out
 		wc.ctx.AddrScratch = s.collectors[free].addrBuf
 	}
-	out, err := wc.w.Execute(&wc.ctx)
-	if err != nil {
+	if err := wc.w.ExecuteInto(&wc.ctx, out); err != nil {
 		s.fail(fmt.Errorf("sm%d warp %d: %w", s.ID, wc.w.GlobalID, err))
 		s.retireWarp(wi)
 		return false
 	}
 	if s.execTrace != nil {
-		// Trace capture must copy out of the Outcome immediately: Addrs
-		// aliases the collector scratch reused by the next issue.
-		s.execTrace(s.ID, wc.w.GlobalID, &out)
+		// Trace capture must copy out of the Outcome immediately: it lives
+		// in a collector reused by a later issue.
+		s.execTrace(s.ID, wc.w.GlobalID, out)
 	}
 
 	// Statistics and front-end energy.
@@ -186,20 +194,11 @@ func (s *SM) tryIssueWarp(sched, wi int) bool {
 		return true
 	}
 
-	// Allocate the operand collector with the source-read plan, and mark
-	// the destination pending.
-	ce := &s.collectors[free]
-	reads := ce.reads[:0]
-	addrBuf := ce.addrBuf
-	lines := ce.lines[:0]
-	*ce = collectorEntry{
-		valid: true, wi: wi, out: out, elig: elig,
-		srfScalar: srfScalar, predUniform: predUniform,
-		class: m.Class, latency: m.Latency, occMul: m.OccMul,
-		reads: reads, addrBuf: addrBuf, lines: lines,
-	}
-	s.collClaim(free)
-	s.liveCollectors++
+	// Claim the operand collector (its Outcome is already in place) with
+	// the source-read plan, and mark the destination pending.
+	ce := s.claimCollector(free, wi)
+	ce.elig, ce.srfScalar, ce.predUniform = elig, srfScalar, predUniform
+	ce.class, ce.latency, ce.occMul = m.Class, m.Latency, m.OccMul
 	s.planReads(ce, wc, in, out)
 	if m.WritesReg {
 		wc.pendRegs |= 1 << m.DstReg
@@ -254,14 +253,27 @@ func (s *SM) freeCollector() int {
 	return -1
 }
 
-// collClaim/collRelease maintain the collector free bitmask as entries become
-// valid and are dispatched.
-func (s *SM) collClaim(i int) {
+// claimCollector marks free collector i as holding warp wi's instruction:
+// it resets every field but the Outcome field by field (the Outcome is the
+// caller's to fill), keeps the resident buffers, and maintains the free
+// bitmask and the occupancy counters.
+func (s *SM) claimCollector(i, wi int) *collectorEntry {
+	ce := &s.collectors[i]
+	ce.valid, ce.linesOK, ce.wi = true, false, wi
+	ce.elig, ce.srfScalar, ce.predUniform = core.NotEligible, false, false
+	ce.isMove, ce.moveReg = false, 0
+	ce.class, ce.latency, ce.occMul = 0, 0, 0
+	ce.reads, ce.lines = ce.reads[:0], ce.lines[:0]
 	if i < 64 {
 		s.collFree &^= uint64(1) << i
 	}
+	s.liveCollectors++
+	s.warps[wi].inFlight++
+	return ce
 }
 
+// collRelease maintains the collector free bitmask as entries are
+// dispatched.
 func (s *SM) collRelease(i int) {
 	if i < 64 {
 		s.collFree |= uint64(1) << i
@@ -276,18 +288,9 @@ func (s *SM) injectMove(free, wi int, reg uint8) {
 	s.meter.Add(power.CompFrontEnd, s.en.FrontEndPerInst)
 	s.st.InjectedMoves++
 
-	ce := &s.collectors[free]
-	reads := ce.reads[:0]
-	addrBuf := ce.addrBuf
-	lines := ce.lines[:0]
-	*ce = collectorEntry{
-		valid: true, wi: wi, isMove: true, moveReg: reg,
-		occMul: 1, reads: reads, addrBuf: addrBuf, lines: lines,
-	}
-	ce.out.DstReg = int(reg)
-	ce.out.Active = wc.w.LiveMask
-	s.collClaim(free)
-	s.liveCollectors++
+	ce := s.claimCollector(free, wi)
+	ce.isMove, ce.moveReg, ce.occMul = true, reg, 1
+	ce.out = warp.Outcome{DstReg: int(reg), Active: wc.w.LiveMask}
 
 	rc := wc.meta.OnRead(int(reg), wc.w.LiveMask, s.arch.F, false)
 	ce.reads = append(ce.reads,
@@ -297,7 +300,7 @@ func (s *SM) injectMove(free, wi int, reg uint8) {
 
 // planReads builds the source-read plan and records Figure 8 access
 // classes.
-func (s *SM) planReads(ce *collectorEntry, wc *warpCtx, in *isa.Instruction, out warp.Outcome) {
+func (s *SM) planReads(ce *collectorEntry, wc *warpCtx, in *isa.Instruction, out *warp.Outcome) {
 	for i := uint8(0); i < in.NSrc; i++ {
 		src := in.Srcs[i]
 		if src.Kind != isa.OpdReg {

@@ -111,32 +111,47 @@ func (s *SM) dispatch(ci int) {
 	occ := s.occupancy(ce, width)
 	extra := uint64(s.arch.ExtraLatency)
 
-	ev := wbEvent{
-		wi: ce.wi, out: ce.out, elig: ce.elig, srfScalar: ce.srfScalar,
-		isMove: ce.isMove, moveReg: ce.moveReg, predUniform: ce.predUniform,
-	}
-
+	var done uint64
+	mshrs := 0
 	if class == isa.ClassMem && !ce.isMove {
-		done, mshrs, ok := s.dispatchMem(ce, occ, extra)
+		var ok bool
+		done, mshrs, ok = s.dispatchMem(ce, occ, extra)
 		if !ok {
 			s.st.IssueStallUnit++
 			return // MSHRs full; retry next cycle
 		}
-		ev.done = done
-		ev.mshrs = mshrs
 	} else {
-		ev.done = s.now + occ + uint64(basePipeDepth) + uint64(ce.latency) + extra
+		done = s.now + occ + uint64(basePipeDepth) + uint64(ce.latency) + extra
 		s.execEnergy(ce, class)
 	}
 
+	// Only a successful dispatch takes an event-pool slot.
+	idx := s.allocEvent()
+	ev := &s.evPool[idx]
+	ev.inst, ev.dstVec, ev.active = ce.out.Inst, ce.out.DstVec, ce.out.Active
+	ev.wi, ev.mshrs, ev.elig = ce.wi, mshrs, ce.elig
+	ev.isMove, ev.predUniform, ev.moveReg = ce.isMove, ce.predUniform, ce.moveReg
+
 	s.unitBusy[unit] = s.now + occ
-	s.events = append(s.events, ev)
-	if ev.done < s.nextWb {
-		s.nextWb = ev.done
+	s.events = append(s.events, wbRef{done: done, idx: idx})
+	if done < s.nextWb {
+		s.nextWb = done
 	}
 	ce.valid = false
 	s.collRelease(ci)
 	s.liveCollectors--
+}
+
+// allocEvent takes a slot of the event pool, recycling a released one when
+// available.
+func (s *SM) allocEvent() int32 {
+	if n := len(s.evFree); n > 0 {
+		idx := s.evFree[n-1]
+		s.evFree = s.evFree[:n-1]
+		return idx
+	}
+	s.evPool = append(s.evPool, wbEvent{})
+	return int32(len(s.evPool) - 1)
 }
 
 // freeALU returns a free ALU pipeline index, or -1.
@@ -325,33 +340,37 @@ func (s *SM) memBeyondL1(line uint32, write bool) uint64 {
 // scoreboard release, register-file write energy, and compression-metadata
 // update (the hardware's compressor stage). The caller (Cycle) skips it
 // entirely until nextWb, so the scan below runs only on cycles that
-// actually retire something.
+// actually retire something. Events completing in the same cycle retire in
+// dispatch order (the list's order), which fixes the order in which their
+// energy is summed.
 func (s *SM) processWritebacks() {
-	// Remove completed events from the list BEFORE handling them:
-	// completeEvent consults hasInFlight (via maybeRecycle), which must not
-	// see the event that is currently being retired.
+	// Remove every completed event from the list, and from its warp's
+	// in-flight count, BEFORE handling any of them: maybeRecycle must see
+	// none of this cycle's retiring events as in flight.
 	done := s.wbScratch[:0]
 	kept := s.events[:0]
 	next := uint64(NoEvent)
-	for _, ev := range s.events {
-		if ev.done > s.now {
-			if ev.done < next {
-				next = ev.done
+	for _, r := range s.events {
+		if r.done > s.now {
+			if r.done < next {
+				next = r.done
 			}
-			kept = append(kept, ev)
+			kept = append(kept, r)
 		} else {
-			done = append(done, ev)
+			done = append(done, r.idx)
+			s.warps[s.evPool[r.idx].wi].inFlight--
 		}
 	}
 	s.events = kept
 	s.nextWb = next
 	s.wbScratch = done
-	for _, ev := range done {
-		s.completeEvent(ev)
+	for _, idx := range done {
+		s.completeEvent(&s.evPool[idx])
+		s.evFree = append(s.evFree, idx)
 	}
 }
 
-func (s *SM) completeEvent(ev wbEvent) {
+func (s *SM) completeEvent(ev *wbEvent) {
 	wc := &s.warps[ev.wi]
 
 	if ev.mshrs > 0 {
@@ -371,7 +390,7 @@ func (s *SM) completeEvent(ev wbEvent) {
 		return
 	}
 
-	in := ev.out.Inst
+	in := ev.inst
 	if in != nil {
 		if dst, w := in.WritesReg(); w {
 			s.writebackReg(wc, ev, dst)
@@ -379,7 +398,7 @@ func (s *SM) completeEvent(ev wbEvent) {
 		}
 		if p, w := in.WritesPred(); w {
 			if s.arch.RVC == RVCByteWise {
-				wc.meta.OnPredWrite(int(p), ev.out.Active, ev.predUniform)
+				wc.meta.OnPredWrite(int(p), ev.active, ev.predUniform)
 			}
 			wc.pendPreds &^= 1 << p
 		}
@@ -402,9 +421,9 @@ func (s *SM) unstall(wi int) {
 
 // writebackReg applies the architecture's register-write energy and
 // metadata update.
-func (s *SM) writebackReg(wc *warpCtx, ev wbEvent, dst uint8) {
-	vec := ev.out.DstVec
-	active := ev.out.Active
+func (s *SM) writebackReg(wc *warpCtx, ev *wbEvent, dst uint8) {
+	vec := ev.dstVec
+	active := ev.active
 	switch {
 	case s.arch.RVC == RVCByteWise:
 		wb := wc.meta.OnWrite(int(dst), vec, active, s.arch.F, ev.elig == core.EligibleFull)
@@ -452,7 +471,7 @@ func (s *SM) baselineWrite(wc *warpCtx, dst int, active warp.Mask) {
 // flight.
 func (s *SM) maybeRecycle(wi int) {
 	wc := &s.warps[wi]
-	if wc.freeWhenDrained && !s.hasInFlight(wi) {
+	if wc.freeWhenDrained && wc.inFlight == 0 {
 		s.regArena.Free(wc.w.Storage())
 		wc.valid = false
 		wc.freeWhenDrained = false

@@ -31,7 +31,9 @@ const NoEvent = ^uint64(0)
 // stays valid until dispatch coalesces it. lines is the entry's resident
 // coalesced-transaction buffer: the line list is computed once on the first
 // dispatch attempt (linesOK), so retry cycles — unit busy, MSHRs full — do
-// not re-coalesce the access.
+// not re-coalesce the access. out is written in place by warp.ExecuteInto at
+// issue, and claimCollector resets the other fields one by one, so an issue
+// copies no Outcome.
 type collectorEntry struct {
 	valid       bool
 	linesOK     bool
@@ -50,17 +52,27 @@ type collectorEntry struct {
 	lines       []uint32
 }
 
-// wbEvent is a scheduled completion (writeback) of a dispatched instruction.
+// wbEvent is the payload of a scheduled completion (writeback) of a
+// dispatched instruction: exactly what completeEvent reads. Payloads live in
+// the SM's reused event pool (SM.evPool); the pending list holds wbRefs.
 type wbEvent struct {
-	done        uint64
+	inst        *isa.Instruction
+	dstVec      []uint32 // aliases the warp's register storage
+	active      warp.Mask
 	wi          int
-	out         warp.Outcome
-	elig        core.Eligibility
-	srfScalar   bool
-	isMove      bool
-	moveReg     uint8
-	predUniform bool
 	mshrs       int // outstanding-load transactions to release
+	elig        core.Eligibility
+	isMove      bool
+	predUniform bool
+	moveReg     uint8
+}
+
+// wbRef is one pending completion: its cycle and the index of its payload
+// in SM.evPool. Keeping the list to 16-byte refs makes the per-retire
+// partition in processWritebacks cheap.
+type wbRef struct {
+	done uint64
+	idx  int32
 }
 
 // ctaSlot tracks one resident CTA. arrived counts its live warps currently
@@ -90,15 +102,16 @@ type warpCtx struct {
 	// freeWhenDrained marks a slot whose CTA finished while writebacks were
 	// still in flight; the slot is recycled once they drain.
 	freeWhenDrained bool
-	// ready mirrors "this warp might issue": valid, not done, not at a
-	// barrier, not scoreboard-stalled. The SM counts ready warps so the
-	// issue stage can be skipped entirely on stall-only cycles.
-	ready bool
 	// scoreStalled records a scoreboard (RAW/WAW) stall. A warp's hazard
 	// state depends only on its own pending registers and its static next
 	// instruction, so the stall can only clear when one of the warp's own
 	// writebacks completes — which is exactly where it is cleared.
 	scoreStalled bool
+	// inFlight counts the warp's live operand collectors plus its pending
+	// writeback events, so the slot-recycling check is O(1). A claimed
+	// collector counts from issue to retirement; dispatch turns it into an
+	// event without changing the count.
+	inFlight int
 	// regVec is w.RegVec bound once at launch, so the divergence oracle
 	// does not allocate a closure per divergent instruction.
 	regVec func(uint8) []uint32
@@ -134,7 +147,11 @@ type SM struct {
 	collFree uint64
 	// Unit indices: 0..ALUUnits-1 are ALU pipelines, then MEM, then SFU.
 	unitBusy []uint64
-	events   []wbEvent
+	// events lists pending completions in dispatch order; their payloads
+	// live in evPool, whose released slots are recycled through evFree.
+	events []wbRef
+	evPool []wbEvent
+	evFree []int32
 	// regArena backs every resident warp's lane storage (registers + thread
 	// coordinates) in one flat per-SM slice; chunks are recycled when warp
 	// slots are released, so mid-run CTA launches allocate nothing. laneAlloc
@@ -171,15 +188,24 @@ type SM struct {
 	// Incremental occupancy counters: each pipeline stage is skipped when
 	// its counter says it has no work, which is what makes stall-heavy
 	// cycles cheap and lets NextEventCycle recognise quiescence in O(1).
-	liveCollectors int  // valid operand-collector entries
-	readyWarps     int  // warps with ready set
-	barrierCheck   bool // a barrier arrival/retire may have released a CTA
-	nextWb         uint64
+	liveCollectors int // valid operand-collector entries
+	readyWarps     int // set bits in readyBits
+	// readyBits has bit wi%64 of word wi/64 set while warp slot wi is
+	// ready: valid, not done, not at a barrier, not scoreboard-stalled.
+	// readyWarps counts the set bits, so the issue stage is skipped
+	// entirely on stall-only cycles, and the scheduler walks skip
+	// non-ready warps without touching their warpCtx.
+	readyBits    []uint64
+	barrierCheck bool // a barrier arrival/retire may have released a CTA
+	nextWb       uint64
 	// nextWb caches min(events[i].done) (NoEvent when none) so writeback
 	// processing — and the chip loop's idle-skip target — needs no scan.
 
-	wbScratch   []wbEvent // processWritebacks reuse
-	candScratch []int     // issueFrom candidate snapshot reuse
+	wbScratch   []int32 // processWritebacks reuse: pool indices retiring this cycle
+	candScratch []int   // issueFrom candidate snapshot reuse
+	// ctrlOut receives the Outcome of front-end-only instructions
+	// (branches, barriers, exits), which claim no operand collector.
+	ctrlOut warp.Outcome
 
 	// schedWarps[sched] lists the valid, not-done warp slots of scheduler
 	// sched in ascending warp GlobalID order — the GTO age order — so the
@@ -225,6 +251,7 @@ func New(id int, cfg Config, arch Arch, en power.Energies, prog *kernel.Program,
 	// phase, so this is safe for the parallel loop too.
 	prog.BuildMeta()
 	s.warps = make([]warpCtx, cfg.MaxWarps)
+	s.readyBits = make([]uint64, (cfg.MaxWarps+63)/64)
 	s.ctas = make([]ctaSlot, cfg.MaxCTAs)
 	s.collectors = make([]collectorEntry, cfg.NumCollectors)
 	for i := range s.collectors {
@@ -419,17 +446,18 @@ func (s *SM) LaunchCTA(ctaLinear int) {
 			wc.bdi = baseline.NewBDIRegFile(s.prog.NumRegs, s.cfg.WarpSize)
 		}
 		wc.regVec = w.RegVec
-		wc.ready = true
-		s.readyWarps++
+		s.setReady(wi)
 		s.schedInsert(wi)
 		cs.warpSlots = append(cs.warpSlots, wi)
 		s.liveWarps++
 	}
 }
 
-// Busy reports whether the SM still has work.
+// Busy reports whether the SM still has work: live warps, pending
+// writebacks, or an operand collector still holding an instruction (an
+// exited warp's last store may not have dispatched yet).
 func (s *SM) Busy() bool {
-	return s.liveWarps > 0 || len(s.events) > 0
+	return s.liveWarps > 0 || len(s.events) > 0 || s.liveCollectors > 0
 }
 
 // NextEventCycle reports the earliest future cycle at which this SM's
@@ -467,20 +495,29 @@ func (s *SM) fail(err error) {
 // one place a barrier warp becomes ready again.
 func (s *SM) markReady(wi int) {
 	wc := &s.warps[wi]
-	if wc.ready || !wc.valid || wc.done || wc.w.Status() != warp.StatusReady {
+	if s.isReady(wi) || !wc.valid || wc.done || wc.w.Status() != warp.StatusReady {
 		return
 	}
-	wc.ready = true
+	s.setReady(wi)
+}
+
+// setReady sets a not-yet-ready warp's readyBits bit and the ready count.
+func (s *SM) setReady(wi int) {
+	s.readyBits[wi>>6] |= 1 << (wi & 63)
 	s.readyWarps++
 }
 
-// markUnready clears a warp's ready flag and maintains the ready count.
+// markUnready clears a warp's readyBits bit and maintains the ready count.
 func (s *SM) markUnready(wi int) {
-	wc := &s.warps[wi]
-	if wc.ready {
-		wc.ready = false
+	if s.isReady(wi) {
+		s.readyBits[wi>>6] &^= 1 << (wi & 63)
 		s.readyWarps--
 	}
+}
+
+// isReady reports whether warp slot wi is ready (its readyBits bit).
+func (s *SM) isReady(wi int) bool {
+	return s.readyBits[wi>>6]&(1<<(wi&63)) != 0
 }
 
 // schedInsert adds warp slot wi to its scheduler's issue list, keeping the
@@ -527,7 +564,7 @@ func (s *SM) retireWarp(wi int) {
 	cs.liveWarps--
 	if cs.liveWarps == 0 {
 		for _, slot := range cs.warpSlots {
-			if s.hasInFlight(slot) {
+			if s.warps[slot].inFlight > 0 {
 				s.warps[slot].freeWhenDrained = true
 			} else {
 				s.regArena.Free(s.warps[slot].w.Storage())
@@ -542,24 +579,10 @@ func (s *SM) retireWarp(wi int) {
 	}
 }
 
-func (s *SM) hasInFlight(wi int) bool {
-	for i := range s.events {
-		if s.events[i].wi == wi {
-			return true
-		}
-	}
-	for i := range s.collectors {
-		if s.collectors[i].valid && s.collectors[i].wi == wi {
-			return true
-		}
-	}
-	return false
-}
-
 // DebugState summarises the SM's occupancy for diagnostics.
 func (s *SM) DebugState() string {
 	validW, doneW, barrierW, drainW := 0, 0, 0, 0
-	pend := 0
+	pend, inFlight := 0, 0
 	for i := range s.warps {
 		wc := &s.warps[i]
 		if !wc.valid {
@@ -577,6 +600,7 @@ func (s *SM) DebugState() string {
 		if wc.pendRegs != 0 || wc.pendPreds != 0 {
 			pend++
 		}
+		inFlight += wc.inFlight
 	}
 	activeCTAs := 0
 	for i := range s.ctas {
@@ -590,8 +614,8 @@ func (s *SM) DebugState() string {
 			coll++
 		}
 	}
-	return fmt.Sprintf("sm%d: live=%d valid=%d done=%d barrier=%d drain=%d pending=%d ctas=%d coll=%d events=%d mshr=%d",
-		s.ID, s.liveWarps, validW, doneW, barrierW, drainW, pend, activeCTAs, coll, len(s.events), s.outstanding)
+	return fmt.Sprintf("sm%d: live=%d valid=%d done=%d barrier=%d drain=%d pending=%d ctas=%d coll=%d events=%d inflight=%d mshr=%d",
+		s.ID, s.liveWarps, validW, doneW, barrierW, drainW, pend, activeCTAs, coll, len(s.events), inFlight, s.outstanding)
 }
 
 // Cycle advances the SM by one core clock at time now. Each stage runs only

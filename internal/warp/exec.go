@@ -13,19 +13,29 @@ import (
 // the timing and power models. Execute returns an error only for simulator
 // bugs or malformed programs (e.g. a PC out of range), never for ordinary
 // program behaviour.
+func (w *Warp) Execute(ctx *Context) (Outcome, error) {
+	var out Outcome
+	err := w.ExecuteInto(ctx, &out)
+	return out, err
+}
+
+// ExecuteInto is Execute writing the Outcome into *out instead of returning
+// it, so a caller that keeps the Outcome in a resident slot (the SM's
+// operand collectors) pays no copy. Every field of *out is overwritten; on
+// an early error (finished warp, PC out of range) *out is left untouched.
 //
 // The per-lane loops below are structured for speed: every source operand is
 // resolved once per instruction into a flat lane vector or a uniform scalar
 // (srcOp), active lanes are visited by bit-iterating the mask (inactive
 // lanes cost nothing, which matters on divergent workloads), and predicated
 // merges are mask selects rather than per-lane branches.
-func (w *Warp) Execute(ctx *Context) (Outcome, error) {
+func (w *Warp) ExecuteInto(ctx *Context, out *Outcome) error {
 	pc, ok := w.NextPC()
 	if !ok {
-		return Outcome{}, fmt.Errorf("warp: execute on finished warp %s", w)
+		return fmt.Errorf("warp: execute on finished warp %s", w)
 	}
 	if pc < 0 || pc >= ctx.Prog.Len() {
-		return Outcome{}, fmt.Errorf("warp: pc %d out of range [0,%d) in %s", pc, ctx.Prog.Len(), w)
+		return fmt.Errorf("warp: pc %d out of range [0,%d) in %s", pc, ctx.Prog.Len(), w)
 	}
 	top := &w.stack[len(w.stack)-1]
 	in := ctx.Prog.At(pc)
@@ -36,52 +46,45 @@ func (w *Warp) Execute(ctx *Context) (Outcome, error) {
 		active &= w.PredMask(in.Guard.Reg, in.Guard.Neg)
 	}
 
-	out := Outcome{
-		PC:     pc,
-		Inst:   in,
-		Active: active,
-		Issued: issued,
-		DstReg: -1,
-	}
+	// Zero in place, then set: a non-zero composite literal assigned
+	// through a pointer is built in a temporary and block-copied.
+	*out = Outcome{}
+	out.PC, out.Inst, out.Active, out.Issued, out.DstReg = pc, in, active, issued, -1
 	out.Divergent = active != w.LiveMask
 
 	switch in.Op {
 	case isa.OpBra:
-		w.execBranch(in, top, active, &out)
-		return out, nil
+		w.execBranch(in, top, active, out)
+		return nil
 
 	case isa.OpExit:
-		w.execExit(active, top, &out)
-		return out, nil
+		w.execExit(active, top, out)
+		return nil
 
 	case isa.OpBar:
 		top.PC = pc + 1
 		w.status = StatusBarrier
 		out.AtBarrier = true
-		return out, nil
+		return nil
 
 	case isa.OpNop, isa.OpVMov:
 		top.PC = pc + 1
-		return out, nil
+		return nil
 	}
 
 	// Value-producing and memory instructions.
 	top.PC = pc + 1
 	switch {
 	case in.IsLoad():
-		if err := w.execLoad(ctx, in, active, &out); err != nil {
-			return out, err
-		}
+		return w.execLoad(ctx, in, active, out)
 	case in.IsStore():
-		if err := w.execStore(ctx, in, active, &out); err != nil {
-			return out, err
-		}
+		return w.execStore(ctx, in, active, out)
 	case in.Dst.Kind == isa.OpdPred:
 		w.execSetP(ctx, in, active)
 	default:
-		w.execALU(ctx, in, active, &out)
+		w.execALU(ctx, in, active, out)
 	}
-	return out, nil
+	return nil
 }
 
 func (w *Warp) execBranch(in *isa.Instruction, top *StackEntry, taken Mask, out *Outcome) {
