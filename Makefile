@@ -9,7 +9,7 @@
 # drives the full relaxed loop.
 #
 # `make golden` is the end-to-end output gate, kept out of `check` because
-# it takes about 40 s on 2 cores: it builds gscalar-experiments, runs
+# it takes about 15 s on 2 cores: it builds gscalar-experiments, runs
 # `-exp all -parallel 2` and diffs the output against experiments_output.txt
 # minus its archived last line (EXIT=0), so every table and figure — Fig 1
 # and the Section 6 ablation included — must reproduce byte-for-byte.

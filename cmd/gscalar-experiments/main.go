@@ -9,24 +9,32 @@
 //
 // Usage:
 //
-//	gscalar-experiments [-exp all|fig1|fig8|fig9|fig10|fig11|fig12|table1|table2|table3|moves]
+//	gscalar-experiments [-exp all|table1|table2|table3|fig1|fig8|fig9|fig10|fig11|fig12|
+//	                          moves|compiler|half|scalarbank|width|sched]
 //	                    [-scale N] [-sms N] [-bench BP,LBM,...] [-parallel N] [-relaxed] [-workers N]
 //	                    [-config chip.json] [-dump-config] [-timeout 10m]
 //	                    [-metrics-out DIR] [-metrics-format json|csv] [-chrome-trace DIR]
 //	                    [-trace-out DIR] [-cpuprofile exp.pprof] [-memprofile exp.mprof]
 //
-// With -metrics-out (and/or -chrome-trace) every freshly simulated
-// (architecture, workload) point additionally writes its telemetry — final
-// counters plus the sampled time series, and a Perfetto-loadable Chrome
-// trace — into the given directory as <arch>_<workload> files. Memoized
-// cache hits produce no new telemetry and therefore no files.
+// Every simulation is a point — an architecture and a workload, plus a
+// variant label for the ablations and Fig 10's warp widths. The selected
+// experiments' points run up front, -parallel at a time, and the tables
+// render from their memoized results.
+//
+// With -metrics-out (and/or -chrome-trace) every freshly simulated point
+// additionally writes its telemetry — final counters plus the sampled time
+// series, and a Perfetto-loadable Chrome trace — into the given directory
+// as <arch>_<workload>[_<variant>] files. Memo hits produce no new
+// telemetry and therefore no files.
 //
 // -trace-out DIR captures every freshly simulated point as a replayable
-// execution trace (<arch>_<workload>.gstr, written atomically on success;
-// serial loop only). A captured trace replays through gscalar-sim
-// -workload trace:<file> — or back through this command, since -bench
-// accepts trace:<path> and gen:<dials> specs alongside benchmark
-// abbreviations (a gen spec's own commas are kept with it).
+// execution trace (<arch>_<workload>[_<variant>].gstr, written atomically
+// on success; serial loop only); nohalf, moveelision and lrr points write
+// none, as a replay under the public architecture would lose their SM
+// overlay. A captured trace replays through gscalar-sim -workload
+// trace:<file> — or back through this command, since -bench accepts
+// trace:<path> and gen:<dials> specs alongside benchmark abbreviations (a
+// gen spec's own commas are kept with it).
 package main
 
 import (
@@ -57,7 +65,7 @@ func main() {
 	metricsFormat := flag.String("metrics-format", "json", "telemetry file format: json or csv")
 	chromeTrace := flag.String("chrome-trace", "", "write per-point Chrome trace-event files into this directory")
 	traceOut := flag.String("trace-out", "", "capture every freshly simulated point as a replayable execution trace (.gstr) in this directory (serial loop only)")
-	parallel := flag.Int("parallel", 1, "simulate up to N (arch, workload) points concurrently; output is identical to -parallel 1")
+	parallel := flag.Int("parallel", 1, "simulate up to N of every experiment's points concurrently; output is identical to -parallel 1")
 	workers := flag.Int("workers", 0, "relaxed-loop workers per simulation; requires -relaxed (-1 = one per host core)")
 	relaxed := flag.Bool("relaxed", false, "use the epoch-based relaxed-sync parallel loop (deterministic, not bit-identical to serial; scales with -workers)")
 	epoch := flag.Int("epoch", 0, "relaxed-loop epoch length in simulated cycles (implies -relaxed; 0 with -relaxed = default 64)")
@@ -162,15 +170,13 @@ func main() {
 		fail(err)
 	}
 
-	// With -parallel N the suite's simulation points run concurrently up
-	// front, filling the memoization cache; the figures below then render
-	// serially from the cache, so the printed output is byte-identical to a
-	// serial run. The fan-out is fail-fast: the first failure (or SIGINT)
-	// cancels the sibling simulations.
-	if *parallel > 1 {
-		if err := suite.PrewarmContext(ctx, points, *parallel); err != nil {
-			fail(err)
-		}
+	// Every point runs up front, -parallel at a time, filling the suite's
+	// memo; the figures below then render serially from it, so the printed
+	// output is byte-identical for every -parallel value. The fan-out is
+	// fail-fast: the first failure (or SIGINT) cancels the sibling
+	// simulations.
+	if err := suite.PrewarmContext(ctx, points, *parallel); err != nil {
+		fail(err)
 	}
 
 	if err := run(suite, cfg, name, *csvDir); err != nil {
@@ -202,10 +208,10 @@ func newMetricsSink(metricsDir, format, traceDir string) (*metricsSink, error) {
 }
 
 // write is the experiments.Options.OnMetrics hook.
-func (s *metricsSink) write(arch gscalar.Arch, abbr string, m *gscalar.Metrics) {
+func (s *metricsSink) write(p experiments.Point, m *gscalar.Metrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	point := arch.String() + "_" + abbr
+	point := p.FileStem()
 	record := func(err error) {
 		if err != nil && s.firstErr == nil {
 			s.firstErr = err

@@ -12,7 +12,8 @@ import (
 // Normalize fills Table 1 defaults into unset fields, Validate enforces the
 // structural invariants every layer below assumes, JSON round-tripping backs
 // the CLIs' -config/-dump-config flags, and Hash provides the canonical
-// content identity the experiment cache and benchmark snapshots key on.
+// content identity experiment points, the result store and benchmark
+// snapshots key on.
 
 // DefaultEpochCycles is the relaxed loop's epoch length when Relaxed is set
 // without an explicit EpochCycles.
@@ -73,6 +74,19 @@ func (c *Config) Normalize() {
 	if c.MemChannels == 0 {
 		c.MemChannels = d.MemChannels
 	}
+}
+
+// WithWarpSize returns the normalized c at warp size ws, with MaxWarpsPerSM
+// rescaled so the SM's resident-thread capacity (MaxWarpsPerSM × WarpSize)
+// stays what c gives — the rule Figure 10 compares warp widths under. At
+// Table 1 (48 warps of 32) a 64-wide chip holds 24 warps.
+func (c Config) WithWarpSize(ws int) Config {
+	c.Normalize()
+	if ws > 0 {
+		c.MaxWarpsPerSM = max(1, c.MaxWarpsPerSM*c.WarpSize/ws)
+	}
+	c.WarpSize = ws
+	return c
 }
 
 // ConfigError reports one violated configuration invariant.
@@ -181,7 +195,7 @@ func ConfigFromJSON(data []byte) (Config, error) {
 // is independent of Go field declaration order and stable when new Config
 // fields are added later (a config that does not use a new field keeps its
 // identity). Two configs hash equal iff they denote the same simulation
-// input, which is what the experiment cache and the BENCH snapshots key on.
+// input, which is what experiment point keys and the BENCH snapshots key on.
 func (c Config) Hash() string {
 	blob, err := json.Marshal(c)
 	if err != nil {

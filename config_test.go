@@ -178,6 +178,30 @@ func TestNormalizeEpochCycles(t *testing.T) {
 	}
 }
 
+// TestWithWarpSize pins the warp-width rule Fig 10 and WarpSizeSweep share:
+// resident-thread capacity stays what the config gives, whatever it is.
+func TestWithWarpSize(t *testing.T) {
+	for _, tc := range []struct {
+		cfg       Config
+		ws, warps int
+	}{
+		{DefaultConfig(), 64, 24},
+		{DefaultConfig(), 32, 48},
+		{Config{NumSMs: 2}, 64, 24}, // sparse: normalized first
+		{Config{WarpSize: 64, MaxWarpsPerSM: 16}, 32, 32},
+		{Config{MaxWarpsPerSM: 1}, 64, 1}, // never below one warp
+	} {
+		c := tc.cfg.WithWarpSize(tc.ws)
+		if c.WarpSize != tc.ws || c.MaxWarpsPerSM != tc.warps {
+			t.Errorf("%+v.WithWarpSize(%d): %d warps of %d, want %d of %d",
+				tc.cfg, tc.ws, c.MaxWarpsPerSM, c.WarpSize, tc.warps, tc.ws)
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v.WithWarpSize(%d) invalid: %v", tc.cfg, tc.ws, err)
+		}
+	}
+}
+
 func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 4
@@ -228,7 +252,7 @@ func TestConfigFromJSONRejects(t *testing.T) {
 }
 
 // defaultConfigHash is the canonical content hash of the Table 1
-// configuration. It is a compatibility contract: the experiment cache and
+// configuration. It is a compatibility contract: experiment point keys and
 // the BENCH snapshot files key on it, so it must change only when a Table 1
 // value (or the canonicalisation scheme itself) changes — never when Config
 // gains a new field whose zero value this config keeps.

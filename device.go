@@ -156,35 +156,53 @@ func (e *UnknownWorkloadError) Error() string {
 		e.Abbr, strings.Join(workloads.Abbrs(), " "), workloads.TracePrefix, workloads.GenPrefix)
 }
 
-// CanonicalWorkloadKey resolves a workload spec — a Table 2 abbreviation or
-// "trace:<path>" — to its canonical cache identity: the abbreviation itself
-// for builtins, "trace:" + the trace file's sha256 content hash for trace
-// replays. Two specs with equal keys simulate identically, which is what
-// lets the experiment cache and the sweep server's result store key
-// trace-backed points on trace *content* rather than on a file path that
-// may be moved, copied or overwritten.
-func CanonicalWorkloadKey(spec string) (string, error) {
+// ResolvedWorkload is a workload spec resolved once, by ResolveWorkload: its
+// Key and every Session.RunResolved of it come from one read of its source,
+// so a caller that keys results on content never pairs one trace content's
+// key with another's result, however the file changes meanwhile.
+type ResolvedWorkload struct {
+	spec string
+	src  workloads.Source
+}
+
+// ResolveWorkload resolves a workload spec — a Table 2 abbreviation,
+// "trace:<path>" (the file is read and decoded afresh on every call) or
+// "gen:<dials>". An unknown name is an *UnknownWorkloadError.
+func ResolveWorkload(spec string) (ResolvedWorkload, error) {
 	src, err := workloads.Resolve(spec)
 	if err != nil {
 		var unk *workloads.UnknownError
 		if errors.As(err, &unk) {
-			return "", errUnknownWorkload(spec)
+			return ResolvedWorkload{}, errUnknownWorkload(spec)
 		}
-		return "", fmt.Errorf("gscalar: workload %s: %w", spec, err)
+		return ResolvedWorkload{}, fmt.Errorf("gscalar: workload %s: %w", spec, err)
 	}
-	return src.Key(), nil
+	return ResolvedWorkload{spec: spec, src: src}, nil
+}
+
+// Key returns the workload's canonical cache identity — the abbreviation
+// for builtins, "trace:" + the file's sha256 content hash for traces, the
+// canonical "gen:" spec for generated kernels — so equal keys simulate
+// identically.
+func (w ResolvedWorkload) Key() string { return w.src.Key() }
+
+// CanonicalWorkloadKey resolves a workload spec and returns its Key, which
+// keys trace-backed points on trace *content* rather than on a file path
+// that may be moved, copied or overwritten.
+func CanonicalWorkloadKey(spec string) (string, error) {
+	w, err := ResolveWorkload(spec)
+	if err != nil {
+		return "", err
+	}
+	return w.Key(), nil
 }
 
 // DescribeWorkload returns a one-line human description of a workload spec
 // (builtin benchmark or trace replay).
 func DescribeWorkload(spec string) (string, error) {
-	src, err := workloads.Resolve(spec)
+	w, err := ResolveWorkload(spec)
 	if err != nil {
-		var unk *workloads.UnknownError
-		if errors.As(err, &unk) {
-			return "", errUnknownWorkload(spec)
-		}
-		return "", fmt.Errorf("gscalar: workload %s: %w", spec, err)
+		return "", err
 	}
-	return src.Describe(), nil
+	return w.src.Describe(), nil
 }

@@ -4,62 +4,9 @@ import (
 	"fmt"
 
 	"gscalar"
-
-	"gscalar/internal/gpu"
 	"gscalar/internal/power"
-	"gscalar/internal/sm"
 	"gscalar/internal/stats"
-	"gscalar/internal/workloads"
 )
-
-// runCustomArch runs one workload under an arbitrary SM-level architecture
-// (for ablations the public Arch enum does not expose). Results are
-// memoized like runner.run's, keyed by the full sm.Arch value — all of its
-// fields are plain values, so the rendering is a faithful content hash — and
-// by the canonical workload key, as PointKey is.
-func (s *Suite) runCustomArch(spec string, arch sm.Arch) (gpu.Result, error) {
-	src, err := resolve(spec)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	key := fmt.Sprintf("%s|custom:%+v/%s", configKey(s.r.o.Config, s.r.o.Scale), arch, src.Key())
-	if v, ok := s.r.cache.get(key); ok {
-		return v.(gpu.Result), nil
-	}
-	inst, err := src.Build(s.r.o.Scale)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	cfg := gpu.DefaultConfig()
-	pub := s.r.o.Config
-	cfg.NumSMs = pub.NumSMs
-	cfg.CoreClockHz = pub.CoreClockHz
-	// The chip loop lowers as a pair, as gscalar.Config does: relaxed takes
-	// its epoch and workers, serial takes neither.
-	if pub.Relaxed {
-		cfg.EpochCycles = pub.EpochCycles
-		if cfg.EpochCycles == 0 {
-			cfg.EpochCycles = gscalar.DefaultEpochCycles
-		}
-		cfg.Workers = pub.Workers
-	}
-	res, err := gpu.RunContext(s.r.ctx, cfg, arch, inst.Prog, inst.Launch, inst.Mem)
-	if err != nil {
-		return res, err
-	}
-	s.r.cache.put(key, res)
-	return res, nil
-}
-
-// resolve maps a workload spec onto its source the way Session does: a
-// Table 2 abbreviation, "gen:<dials>" or "trace:<path>".
-func resolve(spec string) (workloads.Source, error) {
-	src, err := workloads.Resolve(spec)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return src, nil
-}
 
 // HalfAblationRow quantifies §4.3's design choice: half-warp scalar
 // execution (and its second BVR/EBR set) versus plain G-Scalar.
@@ -72,21 +19,17 @@ type HalfAblationRow struct {
 
 // HalfAblation runs G-Scalar with and without half-warp support.
 func (s *Suite) HalfAblation() ([]HalfAblationRow, error) {
-	noHalf := sm.GScalar()
-	noHalf.F.HalfScalar = false
-	noHalf.F.HalfCompression = false
-
 	var rows []HalfAblationRow
-	for _, abbr := range s.r.o.Workloads {
-		base, err := s.r.run(gscalar.Baseline, abbr)
+	for _, abbr := range s.o.Workloads {
+		base, err := s.get(gscalar.Baseline, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		with, err := s.r.run(gscalar.GScalar, abbr)
+		with, err := s.get(gscalar.GScalar, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		without, err := s.runCustomArch(abbr, noHalf)
+		without, err := s.get(gscalar.GScalar, abbr, NoHalf)
 		if err != nil {
 			return nil, err
 		}
@@ -130,23 +73,23 @@ type ScalarBankRow struct {
 // ScalarBankAblation measures the single-bank burst bottleneck.
 func (s *Suite) ScalarBankAblation() ([]ScalarBankRow, error) {
 	var rows []ScalarBankRow
-	for _, abbr := range s.r.o.Workloads {
-		base, err := s.r.run(gscalar.Baseline, abbr)
+	for _, abbr := range s.o.Workloads {
+		base, err := s.get(gscalar.Baseline, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		alu, err := s.runCustomArch(abbr, sm.PriorScalarRF())
+		alu, err := s.get(gscalar.ALUScalar, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		gs, err := s.runCustomArch(abbr, sm.GScalar())
+		gs, err := s.get(gscalar.GScalar, abbr, "")
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, ScalarBankRow{
 			Abbr:              abbr,
-			ConflictsPerKInst: 1000 * float64(alu.Stats.ScalarBankConflicts) / float64(alu.Stats.WarpInsts),
-			GScalarConflicts:  1000 * float64(gs.Stats.ScalarBankConflicts) / float64(gs.Stats.WarpInsts),
+			ConflictsPerKInst: 1000 * float64(alu.raw.Stats.ScalarBankConflicts) / float64(alu.raw.Stats.WarpInsts),
+			GScalarConflicts:  1000 * float64(gs.raw.Stats.ScalarBankConflicts) / float64(gs.raw.Stats.WarpInsts),
 			ALUScalarIPC:      alu.IPC / base.IPC,
 		})
 	}

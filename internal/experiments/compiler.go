@@ -1,10 +1,12 @@
 package experiments
 
 import (
-	"gscalar"
+	"fmt"
 
+	"gscalar"
 	"gscalar/internal/profile"
 	"gscalar/internal/stats"
+	"gscalar/internal/workloads"
 )
 
 // CompilerScalarRow compares compile-time scalarization coverage with
@@ -22,12 +24,12 @@ type CompilerScalarRow struct {
 // method captured 24 % fewer scalarisable instructions than G-Scalar.
 func (s *Suite) CompilerScalar() ([]CompilerScalarRow, error) {
 	var rows []CompilerScalarRow
-	for _, spec := range s.r.o.Workloads {
-		src, err := resolve(spec)
+	for _, spec := range s.o.Workloads {
+		src, err := workloads.Resolve(spec)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		inst, err := src.Build(s.r.o.Scale)
+		inst, err := src.Build(s.o.Scale)
 		if err != nil {
 			return nil, err
 		}
@@ -35,7 +37,7 @@ func (s *Suite) CompilerScalar() ([]CompilerScalarRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.r.run(gscalar.GScalar, spec)
+		res, err := s.get(gscalar.GScalar, spec, "")
 		if err != nil {
 			return nil, err
 		}

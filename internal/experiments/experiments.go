@@ -10,11 +10,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"strings"
+	"sync"
 
 	"gscalar"
 	"gscalar/internal/stats"
+	"gscalar/internal/store"
 )
 
 // Options configures an experiment sweep.
@@ -25,21 +26,20 @@ type Options struct {
 
 	// Telemetry enables per-run metric collection on every simulation the
 	// suite performs. It lives off-Config (like a Session's), so enabling it
-	// changes neither the memoization cache key nor any figure's numbers.
+	// changes neither a point's memo key nor any figure's numbers.
 	Telemetry gscalar.TelemetryOptions
 	// OnMetrics, when non-nil and Telemetry.Enabled, receives the collected
-	// metrics of each freshly simulated (arch, workload) point, so the suite
-	// can persist per-figure telemetry alongside its memoization cache.
-	// Cache hits do not refire it (their run produced no new telemetry).
-	// Under the parallel prewarm fan-out it is called concurrently and must
-	// be safe for that.
-	OnMetrics func(arch gscalar.Arch, abbr string, m *gscalar.Metrics)
+	// metrics of each freshly simulated point. Memo hits do not refire it
+	// (their run produced no new telemetry). Under the parallel prewarm
+	// fan-out it is called concurrently and must be safe for that.
+	OnMetrics func(p Point, m *gscalar.Metrics)
 	// CaptureDir, when non-empty, writes a replayable trace of every
-	// freshly simulated point to <CaptureDir>/<arch>_<workload>.gstr (each
+	// freshly simulated point to <CaptureDir>/<Point.FileStem>.gstr (each
 	// file is written atomically; replay with -workload trace:<file>).
-	// Capture requires the serial chip loop, so it is incompatible with
-	// Config.Relaxed. Cache hits write no trace — their run was
-	// not re-simulated.
+	// Points with an SM overlay (NoHalf, MoveElision, LRR) write none: a
+	// replay under the public architecture could not reproduce it. Capture
+	// requires the serial chip loop, so it is incompatible with
+	// Config.Relaxed. Memo hits write no trace.
 	CaptureDir string
 }
 
@@ -57,73 +57,21 @@ func (o Options) defaults() Options {
 	return o
 }
 
-// runner memoizes simulation results so figures sharing runs (Fig 1/8/9
-// share the G-Scalar run; Fig 11/12 share baselines) do not re-simulate.
-// Results live in a cache keyed by (config, scale, arch, workload) — by
-// default the process-wide sharedCache, so independent Suites over the same
-// configuration also reuse each other's runs. It is safe for concurrent
-// use, which is what the Prewarm fan-out relies on.
-type runner struct {
-	ctx   context.Context
-	o     Options
-	cache *Cache
-}
+// Suite runs the experiments over one option set; create it once and call
+// the figure methods. Every simulation a figure needs is a Point, run
+// through Suite.run and memoized in the suite's own map, so figures that
+// share runs (Fig 1/8/9 share the G-Scalar runs; Fig 11/12 share the
+// baselines) simulate each once, and a fresh Suite starts cold. A Suite is
+// safe for concurrent use, which is what the Prewarm fan-out relies on.
+type Suite struct {
+	ctx context.Context
+	o   Options
 
-func newRunner(ctx context.Context, o Options) *runner {
-	return &runner{ctx: ctx, o: o.defaults(), cache: sharedCache}
+	mu        sync.Mutex
+	memo      map[string]outcome
+	workloads map[string]gscalar.ResolvedWorkload // by spec; see resolve
+	flight    store.Group
 }
-
-func (r *runner) run(arch gscalar.Arch, abbr string) (gscalar.Result, error) {
-	return r.runCtx(r.ctx, arch, abbr)
-}
-
-func (r *runner) runCtx(ctx context.Context, arch gscalar.Arch, abbr string) (gscalar.Result, error) {
-	key := PointKey(r.o.Config, r.o.Scale, arch, abbr)
-	// Cache.Do memoizes and deduplicates: if another goroutine — a Prewarm
-	// sibling, or another Suite over the same options — is already
-	// simulating this key, this call joins that run instead of repeating
-	// it, so each distinct point simulates at most once per process.
-	v, err := r.cache.Do(ctx, key, func() (any, error) {
-		// One Session per fresh point: the prewarm fan-out runs points
-		// concurrently, and a session's telemetry is per-run state. The
-		// session layer annotates escaping errors with the workload and
-		// architecture; a cancelled run's partial result is never cached.
-		s, err := gscalar.NewSession(r.o.Config, arch)
-		if err != nil {
-			return nil, err
-		}
-		s.Telemetry = r.o.Telemetry
-		if r.o.CaptureDir != "" {
-			s.Capture.Path = filepath.Join(r.o.CaptureDir, pointFileName(arch, abbr)+".gstr")
-		}
-		res, err := s.RunWorkload(ctx, abbr, r.o.Scale)
-		if err != nil {
-			return nil, err
-		}
-		if r.o.OnMetrics != nil {
-			if m := s.Metrics(); m != nil {
-				r.o.OnMetrics(arch, abbr, m)
-			}
-		}
-		return res, nil
-	})
-	if err != nil {
-		return gscalar.Result{}, err
-	}
-	return v.(gscalar.Result), nil
-}
-
-// pointFileName renders an (arch, workload-spec) pair as a safe file-name
-// stem: path separators and the trace-spec colon are flattened, so a
-// re-captured "trace:/dir/f.gstr" spec still lands in CaptureDir.
-func pointFileName(arch gscalar.Arch, abbr string) string {
-	clean := strings.NewReplacer("/", "_", "\\", "_", ":", "_").Replace(abbr)
-	return arch.String() + "_" + clean
-}
-
-// Suite bundles a cached runner over one option set; create it once and
-// call the figure methods.
-type Suite struct{ r *runner }
 
 // NewSuite creates an experiment suite bound to the background context. Use
 // NewSuiteContext to make the suite's simulations cancellable.
@@ -132,13 +80,19 @@ func NewSuite(o Options) *Suite { return NewSuiteContext(context.Background(), o
 // NewSuiteContext creates an experiment suite whose simulations observe ctx:
 // cancelling it aborts the in-flight run at its next lifecycle checkpoint and
 // fails any figure evaluated afterwards. Completed runs are unaffected —
-// cancellation never corrupts the shared result cache.
+// a cancelled run is never memoized.
 func NewSuiteContext(ctx context.Context, o Options) *Suite {
-	return &Suite{r: newRunner(ctx, o)}
+	return &Suite{ctx: ctx, o: o.defaults(), memo: map[string]outcome{}, workloads: map[string]gscalar.ResolvedWorkload{}}
+}
+
+// get returns the outcome of the point (arch, abbr, v) under the suite's
+// context.
+func (s *Suite) get(arch gscalar.Arch, abbr string, v Variant) (outcome, error) {
+	return s.run(s.ctx, Point{Arch: arch, Abbr: abbr, Variant: v})
 }
 
 // Workloads returns the benchmark list in effect.
-func (s *Suite) Workloads() []string { return s.r.o.Workloads }
+func (s *Suite) Workloads() []string { return s.o.Workloads }
 
 func mean(vals []float64) float64 {
 	if len(vals) == 0 {
@@ -167,8 +121,8 @@ type Fig1Row struct {
 // Fig1 measures the Figure 1 characterisation on the G-Scalar run.
 func (s *Suite) Fig1() ([]Fig1Row, error) {
 	var rows []Fig1Row
-	for _, abbr := range s.r.o.Workloads {
-		res, err := s.r.run(gscalar.GScalar, abbr)
+	for _, abbr := range s.o.Workloads {
+		res, err := s.get(gscalar.GScalar, abbr, "")
 		if err != nil {
 			return nil, err
 		}
@@ -215,8 +169,8 @@ type Fig8Row struct {
 // register file (scalar execution does not change read classes).
 func (s *Suite) Fig8() ([]Fig8Row, error) {
 	var rows []Fig8Row
-	for _, abbr := range s.r.o.Workloads {
-		res, err := s.r.run(gscalar.GScalar, abbr)
+	for _, abbr := range s.o.Workloads {
+		res, err := s.get(gscalar.GScalar, abbr, "")
 		if err != nil {
 			return nil, err
 		}
@@ -255,8 +209,8 @@ type Fig9Row struct {
 // Fig9 measures scalar-execution eligibility under full G-Scalar.
 func (s *Suite) Fig9() ([]Fig9Row, error) {
 	var rows []Fig9Row
-	for _, abbr := range s.r.o.Workloads {
-		res, err := s.r.run(gscalar.GScalar, abbr)
+	for _, abbr := range s.o.Workloads {
+		res, err := s.get(gscalar.GScalar, abbr, "")
 		if err != nil {
 			return nil, err
 		}
@@ -294,19 +248,21 @@ type Fig10Row struct {
 	Half64 float64 // "quarter-scalar" at warp size 64 (16-thread checks)
 }
 
-// Fig10 sweeps warp size {32, 64} with the 16-thread checking granularity.
+// Fig10 compares 16-thread-granularity eligibility of G-Scalar at 32- and
+// 64-thread warps (the Warp32 and Warp64 variants; at Table 1 the 32-wide
+// run is the suite's public G-Scalar point).
 func (s *Suite) Fig10() ([]Fig10Row, error) {
-	sess, err := gscalar.NewSession(s.r.o.Config, gscalar.GScalar)
-	if err != nil {
-		return nil, err
-	}
 	var rows []Fig10Row
-	for _, abbr := range s.r.o.Workloads {
-		sweep, err := sess.WarpSizeSweep(s.r.ctx, abbr, []int{32, 64}, s.r.o.Scale)
+	for _, abbr := range s.o.Workloads {
+		w32, err := s.get(gscalar.GScalar, abbr, Warp32)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", abbr, err)
+			return nil, err
 		}
-		rows = append(rows, Fig10Row{abbr, sweep[0].HalfFrac, sweep[1].HalfFrac})
+		w64, err := s.get(gscalar.GScalar, abbr, Warp64)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, Fig10Row{abbr, w32.Eligibility.Half, w64.Eligibility.Half})
 	}
 	return rows, nil
 }
@@ -342,20 +298,20 @@ type Fig11Row struct {
 // Fig11 runs the four Figure 11 architectures on every benchmark.
 func (s *Suite) Fig11() ([]Fig11Row, error) {
 	var rows []Fig11Row
-	for _, abbr := range s.r.o.Workloads {
-		base, err := s.r.run(gscalar.Baseline, abbr)
+	for _, abbr := range s.o.Workloads {
+		base, err := s.get(gscalar.Baseline, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		alu, err := s.r.run(gscalar.ALUScalar, abbr)
+		alu, err := s.get(gscalar.ALUScalar, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		nod, err := s.r.run(gscalar.GScalarNoDiv, abbr)
+		nod, err := s.get(gscalar.GScalarNoDiv, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		full, err := s.r.run(gscalar.GScalar, abbr)
+		full, err := s.get(gscalar.GScalar, abbr, "")
 		if err != nil {
 			return nil, err
 		}
@@ -414,20 +370,20 @@ type Fig12Row struct {
 // Fig12 compares register-file dynamic power across RF techniques.
 func (s *Suite) Fig12() ([]Fig12Row, error) {
 	var rows []Fig12Row
-	for _, abbr := range s.r.o.Workloads {
-		base, err := s.r.run(gscalar.Baseline, abbr)
+	for _, abbr := range s.o.Workloads {
+		base, err := s.get(gscalar.Baseline, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		alu, err := s.r.run(gscalar.ALUScalar, abbr)
+		alu, err := s.get(gscalar.ALUScalar, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		wc, err := s.r.run(gscalar.WarpedCompression, abbr)
+		wc, err := s.get(gscalar.WarpedCompression, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		ours, err := s.r.run(gscalar.RVCOnly, abbr)
+		ours, err := s.get(gscalar.RVCOnly, abbr, "")
 		if err != nil {
 			return nil, err
 		}

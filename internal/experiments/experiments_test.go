@@ -1,19 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"gscalar"
-	"gscalar/internal/sm"
 )
 
 // smallSuite runs on a 2-SM chip over a 3-benchmark subset so the whole
 // experiment path stays test-sized.
 func smallSuite() *Suite {
-	cfg := gscalar.DefaultConfig()
-	cfg.NumSMs = 2
-	return NewSuite(Options{Config: cfg, Workloads: []string{"HS", "MQ", "SAD"}})
+	return NewSuite(Options{Config: twoSMs(), Workloads: []string{"HS", "MQ", "SAD"}})
 }
 
 func TestSuiteFig1(t *testing.T) {
@@ -50,26 +48,20 @@ func TestSuiteFig9CachesRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	s := smallSuite()
-	s.r.cache = NewCache() // private cache so other tests cannot pre-warm it
+	s, sims := countingSuite(Options{Config: twoSMs(), Workloads: []string{"HS", "MQ", "SAD"}})
 	if _, err := s.Fig9(); err != nil {
 		t.Fatal(err)
 	}
-	// The memoizing runner must serve Fig1 from the same G-Scalar runs: the
-	// second call is pure cache hits and simulates nothing new.
-	if s.r.cache.Len() < 3 {
-		t.Fatalf("runner cache has %d entries", s.r.cache.Len())
+	if n := sims.Load(); n != 3 || len(s.memo) != 3 {
+		t.Fatalf("Fig9: %d simulations, %d memo entries; want 3 and 3", n, len(s.memo))
 	}
-	before := s.r.cache.Len()
-	_, missesBefore := s.r.cache.Counters()
+	// The memo must serve Fig1 from the same G-Scalar runs: the second call
+	// simulates nothing new.
 	if _, err := s.Fig1(); err != nil {
 		t.Fatal(err)
 	}
-	if s.r.cache.Len() != before {
-		t.Errorf("Fig1 re-simulated despite cache (%d -> %d)", before, s.r.cache.Len())
-	}
-	if _, misses := s.r.cache.Counters(); misses != missesBefore {
-		t.Errorf("Fig1 missed the cache (%d -> %d misses)", missesBefore, misses)
+	if n := sims.Load(); n != 3 {
+		t.Errorf("Fig1 re-simulated despite the memo (%d simulations)", n)
 	}
 }
 
@@ -178,8 +170,18 @@ func TestStaticUniformOnWorkloads(t *testing.T) {
 	}
 }
 
-// TestAblationLowersChipLoop pins that an ablation point runs on the chip
-// loop its suite asks for: the relaxed loop lowers as a pair (epoch and
+// ablations are the experiments with variant points, keyed by name.
+func ablations(s *Suite) map[string]func() error {
+	return map[string]func() error{
+		"sched":      func() error { _, err := s.SchedAblation(); return err },
+		"half":       func() error { _, err := s.HalfAblation(); return err },
+		"moves":      func() error { _, err := s.MoveOverhead(); return err },
+		"scalarbank": func() error { _, err := s.ScalarBankAblation(); return err },
+	}
+}
+
+// TestAblationLowersChipLoop pins that every ablation point runs on the
+// chip loop its suite asks for: the relaxed loop lowers as a pair (epoch and
 // workers), and a serial suite passes neither.
 func TestAblationLowersChipLoop(t *testing.T) {
 	if testing.Short() {
@@ -193,42 +195,128 @@ func TestAblationLowersChipLoop(t *testing.T) {
 		{false, "serial", 1},
 		{true, "relaxed", 2},
 	} {
-		cfg := gscalar.DefaultConfig()
-		cfg.NumSMs = 2
+		cfg := twoSMs()
 		if tc.relaxed {
 			cfg.Relaxed, cfg.Workers = true, 2
 		}
 		s := NewSuite(Options{Config: cfg, Workloads: []string{"HS"}})
-		s.r.cache = NewCache()
-		res, err := s.runCustomArch("HS", sm.GScalar())
+		for name, run := range ablations(s) {
+			if err := run(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			pts, err := s.Points([]string{name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pts {
+				res := s.memo[memoKey(t, s, p)]
+				if res.ExecMode != tc.mode || res.ResolvedWorkers != tc.workers {
+					t.Errorf("relaxed=%v: %s point %+v ran %q with %d workers, want %s with %d",
+						tc.relaxed, name, p, res.ExecMode, res.ResolvedWorkers, tc.mode, tc.workers)
+				}
+			}
+		}
+	}
+}
+
+// TestAblationsHonourConfig pins that the ablations simulate the chip the
+// suite's configuration describes, not Table 1 with a few fields copied:
+// their numbers equal independent public sessions on the same config.
+func TestAblationsHonourConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	cfg := twoSMs()
+	cfg.MemChannels = 2
+	cfg.L1Bytes = 65536
+	const abbr = "LBM"
+	ipc := func(arch gscalar.Arch) float64 {
+		sess, err := gscalar.NewSession(cfg, arch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.ExecMode != tc.mode || res.Workers != tc.workers {
-			t.Errorf("relaxed=%v: ablation point ran %s with %d workers, want %s with %d",
-				tc.relaxed, res.ExecMode, res.Workers, tc.mode, tc.workers)
+		res, err := sess.RunWorkload(context.Background(), abbr, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res.IPC
+	}
+	s := NewSuite(Options{Config: cfg, Workloads: []string{abbr}})
+
+	sched, err := s.SchedAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ipc(gscalar.GScalar); sched[0].GTOIPC != want {
+		t.Errorf("sched GTO IPC = %v, want the G-Scalar session's %v", sched[0].GTOIPC, want)
+	}
+	bank, err := s.ScalarBankAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ipc(gscalar.ALUScalar) / ipc(gscalar.Baseline); bank[0].ALUScalarIPC != want {
+		t.Errorf("scalarbank ALU-scalar IPC = %v, want ALUScalar/Baseline sessions' %v", bank[0].ALUScalarIPC, want)
 	}
 }
 
 // TestAblationsAcceptGenSpecs pins that every ablation resolves its
 // workloads the way Session does, so a synthetic gen: kernel runs through
-// all four of them.
+// all of them.
 func TestAblationsAcceptGenSpecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	cfg := gscalar.DefaultConfig()
-	cfg.NumSMs = 2
-	s := NewSuite(Options{Config: cfg, Workloads: []string{"gen:div=0.3,occ=0.1"}})
-	for name, run := range map[string]func() error{
-		"compiler":   func() error { _, err := s.CompilerScalar(); return err },
-		"sched":      func() error { _, err := s.SchedAblation(); return err },
-		"half":       func() error { _, err := s.HalfAblation(); return err },
-		"scalarbank": func() error { _, err := s.ScalarBankAblation(); return err },
-	} {
+	s := NewSuite(Options{Config: twoSMs(), Workloads: []string{"gen:div=0.3,occ=0.1"}})
+	runs := ablations(s)
+	runs["compiler"] = func() error { _, err := s.CompilerScalar(); return err }
+	for name, run := range runs {
 		if err := run(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestFig10HonoursWarpSize pins Fig 10's columns to their labels at a
+// configuration whose warps are already 64 wide and whose resident-thread
+// capacity is not Table 1's: half@32 is a real 32-wide run (the Warp32
+// variant), quarter@64 is the suite's public point, and both equal the
+// public Session.WarpSizeSweep on the same configuration. (Both widen warps
+// with Config.WithWarpSize, whose rule TestWithWarpSize pins; half-warp
+// eligibility alone does not depend on the resident-warp count.)
+func TestFig10HonoursWarpSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	cfg := twoSMs()
+	cfg.WarpSize, cfg.MaxWarpsPerSM = 64, 16
+	const abbr = "HS"
+	s := NewSuite(Options{Config: cfg, Workloads: []string{abbr}})
+	pts, err := s.Points([]string{"fig10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPts := []Point{{Arch: gscalar.GScalar, Abbr: abbr}, {Arch: gscalar.GScalar, Abbr: abbr, Variant: Warp32}}
+	if len(pts) != 2 || pts[0] != wantPts[0] || pts[1] != wantPts[1] {
+		t.Errorf("Points(fig10) = %+v, want %+v", pts, wantPts)
+	}
+	rows, err := s.Fig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := gscalar.NewSession(cfg, gscalar.GScalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := sess.WarpSizeSweep(context.Background(), abbr, []int{32, 64}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rows[0]
+	if r.Half32 == r.Half64 {
+		t.Fatalf("half@32 = quarter@64 = %v: the widths are not told apart", r.Half32)
+	}
+	if r.Half32 != sweep[0].HalfFrac || r.Half64 != sweep[1].HalfFrac {
+		t.Errorf("Fig 10 row %+v, want WarpSizeSweep's half@32 %v, quarter@64 %v",
+			r, sweep[0].HalfFrac, sweep[1].HalfFrac)
 	}
 }

@@ -11,35 +11,33 @@ import (
 	"gscalar"
 )
 
-// Point identifies one (architecture, workload) simulation a figure needs.
-type Point struct {
-	Arch gscalar.Arch
-	Abbr string
+// pointKind is one (architecture, variant) pair an experiment simulates on
+// every workload of the suite.
+type pointKind struct {
+	arch    gscalar.Arch
+	variant Variant
 }
 
-// expArchs maps each experiment name to the public architectures its figure
-// simulates through runner.run. Experiments absent from the map either run
-// no full-chip points (the static tables), sweep non-default configurations
-// (fig10, width, sched), or use custom SM overlays (parts of half and
-// scalarbank) — those still simulate what Prewarm cannot cover, but every
-// cacheable point below is shared with them.
-var expArchs = map[string][]gscalar.Arch{
-	"fig1":       {gscalar.GScalar},
-	"fig8":       {gscalar.GScalar},
-	"fig9":       {gscalar.GScalar},
-	"fig11":      {gscalar.Baseline, gscalar.ALUScalar, gscalar.GScalarNoDiv, gscalar.GScalar},
-	"fig12":      {gscalar.Baseline, gscalar.ALUScalar, gscalar.WarpedCompression, gscalar.RVCOnly},
-	"moves":      {gscalar.GScalar},
-	"compiler":   {gscalar.GScalar},
-	"half":       {gscalar.Baseline, gscalar.GScalar},
-	"scalarbank": {gscalar.Baseline},
+// expPoints maps each experiment name to the point kinds its rendering
+// reads. Experiments absent from the map simulate no points: the static
+// tables, and width, whose synthetic-kernel runs are not workload points.
+var expPoints = map[string][]pointKind{
+	"fig1":       {{gscalar.GScalar, ""}},
+	"fig8":       {{gscalar.GScalar, ""}},
+	"fig9":       {{gscalar.GScalar, ""}},
+	"fig10":      {{gscalar.GScalar, Warp32}, {gscalar.GScalar, Warp64}},
+	"fig11":      {{gscalar.Baseline, ""}, {gscalar.ALUScalar, ""}, {gscalar.GScalarNoDiv, ""}, {gscalar.GScalar, ""}},
+	"fig12":      {{gscalar.Baseline, ""}, {gscalar.ALUScalar, ""}, {gscalar.WarpedCompression, ""}, {gscalar.RVCOnly, ""}},
+	"moves":      {{gscalar.GScalar, ""}, {gscalar.GScalar, MoveElision}},
+	"compiler":   {{gscalar.GScalar, ""}},
+	"half":       {{gscalar.Baseline, ""}, {gscalar.GScalar, ""}, {gscalar.GScalar, NoHalf}},
+	"scalarbank": {{gscalar.Baseline, ""}, {gscalar.ALUScalar, ""}, {gscalar.GScalar, ""}},
+	"sched":      {{gscalar.GScalar, ""}, {gscalar.GScalar, LRR}},
 }
 
 // experimentNames is the registry of every runnable experiment, in
 // presentation order: the static tables, the figures, and the ablations.
-// It is the single list Points and the CLI validate -exp names against;
-// expArchs above covers the subset whose full-chip points Prewarm can
-// simulate ahead of time.
+// It is the single list Points and the CLI validate -exp names against.
 var experimentNames = []string{
 	"table1", "table2", "table3",
 	"fig1", "fig8", "fig9", "fig10", "fig11", "fig12",
@@ -77,41 +75,44 @@ func errUnknownExperiment(name string) error {
 		name, strings.Join(experimentNames, ", "))
 }
 
-// Points returns the deduplicated (architecture, workload) points the named
-// experiments will simulate, in a deterministic order (architecture in
-// presentation order, then the suite's workload order). The name "all"
+// Points returns the deduplicated points the named experiments simulate, in
+// a deterministic order: architecture in presentation order, public point
+// before its variants, then the suite's workload order. The name "all"
 // expands to every experiment. A name outside the experiment registry is an
-// error naming the valid choices; registered experiments without
-// prewarmable full-chip points (the static tables, the sweeps with
-// non-default configurations) are valid and simply contribute none.
+// error naming the valid choices; registered experiments that simulate no
+// points (the static tables, width) are valid and contribute none.
 func (s *Suite) Points(exps []string) ([]Point, error) {
-	archSet := map[gscalar.Arch]bool{}
+	set := map[pointKind]bool{}
 	for _, e := range exps {
 		if !ValidExperiment(e) {
 			return nil, errUnknownExperiment(e)
 		}
+		names := []string{e}
 		if e == "all" {
-			for _, archs := range expArchs {
-				for _, a := range archs {
-					archSet[a] = true
-				}
+			names = experimentNames
+		}
+		for _, n := range names {
+			for _, k := range expPoints[n] {
+				k.variant = s.canonical(Point{Arch: k.arch, Variant: k.variant}).Variant
+				set[k] = true
 			}
-			continue
-		}
-		for _, a := range expArchs[e] {
-			archSet[a] = true
 		}
 	}
-	archs := make([]gscalar.Arch, 0, len(archSet))
-	for a := range archSet {
-		archs = append(archs, a)
+	kinds := make([]pointKind, 0, len(set))
+	for k := range set {
+		kinds = append(kinds, k)
 	}
-	sort.Slice(archs, func(i, j int) bool { return archs[i] < archs[j] })
+	sort.Slice(kinds, func(i, j int) bool {
+		if kinds[i].arch != kinds[j].arch {
+			return kinds[i].arch < kinds[j].arch
+		}
+		return kinds[i].variant < kinds[j].variant
+	})
 
 	var pts []Point
-	for _, a := range archs {
-		for _, abbr := range s.r.o.Workloads {
-			pts = append(pts, Point{Arch: a, Abbr: abbr})
+	for _, k := range kinds {
+		for _, abbr := range s.o.Workloads {
+			pts = append(pts, Point{Arch: k.arch, Abbr: abbr, Variant: k.variant})
 		}
 	}
 	return pts, nil
@@ -120,12 +121,12 @@ func (s *Suite) Points(exps []string) ([]Point, error) {
 // Prewarm simulates the given points under the suite's own context; see
 // PrewarmContext.
 func (s *Suite) Prewarm(points []Point, par int) error {
-	return s.PrewarmContext(s.r.ctx, points, par)
+	return s.PrewarmContext(s.ctx, points, par)
 }
 
 // PrewarmContext simulates the given points concurrently, at most par at a
-// time, filling the suite's result cache. Figures rendered afterwards are
-// served entirely from the cache, so their output is byte-identical to a
+// time, filling the suite's memo. Figures rendered afterwards are served
+// entirely from the memo, so their output is byte-identical to a
 // serial run — prewarming only changes when the simulations happen, never
 // what they produce (every chip loop is deterministic, and each
 // point is independent). With par <= 1 the points run serially in order.
@@ -135,14 +136,14 @@ func (s *Suite) Prewarm(points []Point, par int) error {
 // lifecycle checkpoint, and points not yet started are skipped. The error
 // returned is the first genuine failure in point order; if every recorded
 // error is just the propagated cancellation, the first of those is returned.
-// Cancellation never corrupts the cache: points that completed before it
-// remain cached and reusable.
+// Cancellation never corrupts the memo: points that completed before it
+// remain memoized and reusable.
 func (s *Suite) PrewarmContext(ctx context.Context, points []Point, par int) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	if par <= 1 || len(points) <= 1 {
 		for _, p := range points {
-			if _, err := s.r.runCtx(ctx, p.Arch, p.Abbr); err != nil {
+			if _, err := s.run(ctx, p); err != nil {
 				return err
 			}
 		}
@@ -163,7 +164,7 @@ func (s *Suite) PrewarmContext(ctx context.Context, points []Point, par int) err
 					errs[i] = err
 					continue
 				}
-				_, errs[i] = s.r.runCtx(ctx, points[i].Arch, points[i].Abbr)
+				_, errs[i] = s.run(ctx, points[i])
 				if errs[i] != nil {
 					cancel()
 				}

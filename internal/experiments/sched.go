@@ -3,8 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"gscalar/internal/gpu"
-	"gscalar/internal/sm"
+	"gscalar"
 	"gscalar/internal/stats"
 )
 
@@ -24,35 +23,21 @@ type SchedRow struct {
 // SchedAblation runs every benchmark under GTO and LRR scheduling.
 func (s *Suite) SchedAblation() ([]SchedRow, error) {
 	var rows []SchedRow
-	for _, spec := range s.r.o.Workloads {
-		src, err := resolve(spec)
+	for _, abbr := range s.o.Workloads {
+		gto, err := s.get(gscalar.GScalar, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		run := func(pol sm.SchedPolicy) (gpu.Result, error) {
-			inst, err := src.Build(s.r.o.Scale)
-			if err != nil {
-				return gpu.Result{}, err
-			}
-			cfg := gpu.DefaultConfig()
-			cfg.NumSMs = s.r.o.Config.NumSMs
-			cfg.SM.Sched = pol
-			return gpu.RunContext(s.r.ctx, cfg, sm.GScalar(), inst.Prog, inst.Launch, inst.Mem)
-		}
-		gto, err := run(sm.SchedGTO)
-		if err != nil {
-			return nil, err
-		}
-		lrr, err := run(sm.SchedLRR)
+		lrr, err := s.get(gscalar.GScalar, abbr, LRR)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, SchedRow{
-			Abbr:    spec,
+			Abbr:    abbr,
 			GTOIPC:  gto.IPC,
 			LRRIPC:  lrr.IPC,
-			GTOElig: float64(gto.Stats.EligibleTotal()) / float64(gto.Stats.WarpInsts),
-			LRRElig: float64(lrr.Stats.EligibleTotal()) / float64(lrr.Stats.WarpInsts),
+			GTOElig: float64(gto.raw.Stats.EligibleTotal()) / float64(gto.raw.Stats.WarpInsts),
+			LRRElig: float64(lrr.raw.Stats.EligibleTotal()) / float64(lrr.raw.Stats.WarpInsts),
 		})
 	}
 	return rows, nil

@@ -5,7 +5,6 @@ import (
 
 	"gscalar"
 	"gscalar/internal/power"
-	"gscalar/internal/sm"
 	"gscalar/internal/stats"
 )
 
@@ -71,19 +70,19 @@ type MoveOverheadRow struct {
 // information).
 func (s *Suite) MoveOverhead() ([]MoveOverheadRow, error) {
 	var rows []MoveOverheadRow
-	for _, abbr := range s.r.o.Workloads {
-		res, err := s.r.run(gscalar.GScalar, abbr)
+	for _, abbr := range s.o.Workloads {
+		res, err := s.get(gscalar.GScalar, abbr, "")
 		if err != nil {
 			return nil, err
 		}
-		ca, err := s.runCustomArch(abbr, sm.GScalarCompilerAssist())
+		ca, err := s.get(gscalar.GScalar, abbr, MoveElision)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, MoveOverheadRow{
 			Abbr:             abbr,
 			Hardware:         res.MoveOverhead,
-			CompilerAssisted: ca.Stats.MoveOverhead(),
+			CompilerAssisted: ca.MoveOverhead,
 		})
 	}
 	return rows, nil

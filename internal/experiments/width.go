@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"gscalar/internal/asm"
+	"gscalar"
 	"gscalar/internal/gpu"
-	"gscalar/internal/kernel"
-	"gscalar/internal/sm"
 	"gscalar/internal/stats"
 )
 
@@ -46,44 +44,32 @@ type WidthRow struct {
 }
 
 // WidthSweep measures RF dynamic power of byte-wise compression relative to
-// the baseline register file while sweeping the effective operand width.
+// the baseline register file while sweeping the effective operand width. Its
+// runs use a synthetic kernel, not a workload spec, so they are not suite
+// points: they run through a Session at the suite's configuration on every
+// call and are not memoized.
 func (s *Suite) WidthSweep(bits []int) ([]WidthRow, error) {
-	prog, err := asm.Assemble(widthSrc)
+	prog, err := gscalar.Assemble(widthSrc)
 	if err != nil {
 		return nil, err
 	}
+	run := func(arch gscalar.Arch, b int) (gpu.Result, error) {
+		var raw gpu.Result
+		sess, err := newSession(s.o.Config, arch, nil, &raw)
+		if err != nil {
+			return raw, err
+		}
+		launch, mem := widthLaunch(b)
+		_, err = sess.Run(s.ctx, prog, launch, mem)
+		return raw, err
+	}
 	var rows []WidthRow
 	for _, b := range bits {
-		build := func() (*kernel.LaunchConfig, *kernel.Memory) {
-			const ctas = 40
-			n := ctas * 256
-			mem := kernel.NewMemory()
-			mask := uint32(1)<<uint(b) - 1
-			if b >= 32 {
-				mask = ^uint32(0)
-			}
-			vals := make([]uint32, n)
-			rng := uint32(0x9E3779B9)
-			for i := range vals {
-				rng = rng*1664525 + 1013904223
-				vals[i] = rng & mask
-			}
-			lc := &kernel.LaunchConfig{Grid: kernel.Dim{X: ctas, Y: 1}, Block: kernel.Dim{X: 256, Y: 1}}
-			lc.Params[0] = mem.AllocU32(vals)
-			lc.Params[1] = mem.Alloc(n * 4)
-			lc.Params[2] = mask
-			return lc, mem
-		}
-		cfg := gpu.DefaultConfig()
-		cfg.NumSMs = s.r.o.Config.NumSMs
-
-		lcB, memB := build()
-		base, err := gpu.RunContext(s.r.ctx, cfg, sm.Baseline(), prog, lcB, memB)
+		base, err := run(gscalar.Baseline, b)
 		if err != nil {
 			return nil, err
 		}
-		lcR, memR := build()
-		rvc, err := gpu.RunContext(s.r.ctx, cfg, sm.RVCOnly(), prog, lcR, memR)
+		rvc, err := run(gscalar.RVCOnly, b)
 		if err != nil {
 			return nil, err
 		}
@@ -94,6 +80,27 @@ func (s *Suite) WidthSweep(bits []int) ([]WidthRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// widthLaunch builds the sweep kernel's launch and input memory for operand
+// values confined to the given bit width.
+func widthLaunch(bits int) (gscalar.Launch, *gscalar.Memory) {
+	const ctas = 40
+	n := ctas * 256
+	mem := gscalar.NewMemory()
+	mask := uint32(1)<<uint(bits) - 1
+	if bits >= 32 {
+		mask = ^uint32(0)
+	}
+	vals := make([]uint32, n)
+	rng := uint32(0x9E3779B9)
+	for i := range vals {
+		rng = rng*1664525 + 1013904223
+		vals[i] = rng & mask
+	}
+	in := mem.AllocU32(vals)
+	out := mem.Alloc(n * 4)
+	return gscalar.Launch{GridX: ctas, BlockX: 256, Params: []uint32{in, out, mask}}, mem
 }
 
 // FormatWidthSweep renders the §5.3 sweep table.

@@ -16,8 +16,8 @@
 //     directory re-enqueues them, and whatever did complete resolves as a
 //     store hit.
 //
-// Keys are experiments.PointKey — the same canonical identity the CLI
-// in-process cache uses — so results are interchangeable across entry
+// Keys are experiments.PointKey — the same canonical identity an experiment
+// suite's memo uses for its public points — so results are interchangeable across entry
 // points and a key can never be served a stale or foreign result.
 package serve
 
@@ -421,7 +421,18 @@ func (s *Server) simulate(ctx context.Context, p *pointState) (any, error) {
 			hook(key)
 		}
 	}
-	res, err := sess.RunWorkload(ctx, p.spec.Workload, p.spec.Scale)
+	// The key was derived from the workload when the point was submitted.
+	// Resolve it once more and run exactly what was resolved: if a trace
+	// file was replaced in between, its new content must not be stored
+	// under the old content's key.
+	w, err := gscalar.ResolveWorkload(p.spec.Workload)
+	if err != nil {
+		return nil, err
+	}
+	if now := experiments.ResolvedPointKey(p.spec.Config, p.spec.Scale, p.spec.Arch, w); now != key {
+		return nil, fmt.Errorf("serve: workload %s changed since the point was submitted (key %s, now %s); resubmit it", p.spec.Workload, key, now)
+	}
+	res, err := sess.RunResolved(ctx, w, p.spec.Scale)
 	s.mu.Lock()
 	delete(s.progress, key)
 	s.mu.Unlock()

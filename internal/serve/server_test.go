@@ -489,7 +489,7 @@ func TestQueueFullRejected(t *testing.T) {
 }
 
 // TestStoreKeyMatchesExperimentsCache pins the cross-component contract:
-// the server's point key equals the key the CLI in-process cache derives
+// the server's point key equals the key an experiment suite's memo derives
 // for the same input, so results are interchangeable.
 func TestStoreKeyMatchesExperimentsCache(t *testing.T) {
 	cfg := gscalar.DefaultConfig()

@@ -10,7 +10,7 @@ import (
 // while the leader is in flight wait for its outcome instead of repeating
 // the work. Once the leader finishes the key is forgotten, so a later call
 // runs fresh — persistent memoization is the caller's concern (the
-// experiment cache and the result store layer it on top).
+// experiment suite's memo and the result store layer it on top).
 //
 // The zero Group is ready to use.
 type Group struct {

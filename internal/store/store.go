@@ -3,9 +3,11 @@
 // repository: atomic file writes and singleflight call deduplication).
 //
 // Each entry is one completed simulation point, addressed by the canonical
-// key "configHash|scale=N|arch/workload" — the same identity the in-process
-// experiment cache uses, derived from Config.Hash(), so two requests denote
-// the same entry iff they denote the same simulation input. Entries are
+// key "configHash|scale=N|arch/workload" (experiments.PointKey), derived
+// from Config.Hash(), so two requests denote the same entry iff they denote
+// the same simulation input. An experiment suite keys its per-suite memo the
+// same way, appending a variant label for its ablation points, and
+// deduplicates concurrent runs with this package's Group. Entries are
 // single JSON files named by the SHA-256 of their key, written atomically
 // (temp file + rename); the in-memory index is rebuilt by scanning the
 // directory on Open, so a restarted — or crashed — server re-serves every

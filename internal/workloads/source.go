@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"gscalar/internal/gen"
 	"gscalar/internal/trace"
@@ -46,9 +45,9 @@ func (e *UnknownError) Error() string {
 // a builtin Table 2 abbreviation ("HS"), a trace-file reference
 // ("trace:<path>"), or a generated synthetic kernel ("gen:div=0.3,...").
 // Trace files are decoded at resolve time — a missing, truncated or
-// version-mismatched file fails here with the trace package's typed errors —
-// and cached per path, so resolving the same trace across a sweep's points
-// decodes it once. Gen dial errors (*gen.DialError) also surface here, so
+// version-mismatched file fails here with the trace package's typed errors.
+// Every call reads the file afresh, so a Source always reflects the content
+// at the path now, even after the file is overwritten. Gen dial errors (*gen.DialError) also surface here, so
 // a bad spec fails before any simulation is attempted.
 func Resolve(spec string) (Source, error) {
 	ps, err := ParseSpec(spec)
@@ -57,7 +56,7 @@ func Resolve(spec string) (Source, error) {
 	}
 	switch ps.Kind {
 	case SpecTrace:
-		t, err := loadTrace(ps.Path)
+		t, err := trace.ReadFile(ps.Path)
 		if err != nil {
 			return nil, err
 		}
@@ -159,33 +158,4 @@ func TraceOf(src Source) (*trace.Trace, bool) {
 		return nil, false
 	}
 	return ts.t, true
-}
-
-// traceCache memoizes successful trace decodes per path. Failures are not
-// cached: a capture may legitimately appear at the path later (the atomic
-// writer renames the finished file into place).
-var traceCache = struct {
-	sync.Mutex
-	m map[string]*trace.Trace
-}{m: map[string]*trace.Trace{}}
-
-func loadTrace(path string) (*trace.Trace, error) {
-	traceCache.Lock()
-	t, ok := traceCache.m[path]
-	traceCache.Unlock()
-	if ok {
-		return t, nil
-	}
-	t, err := trace.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	traceCache.Lock()
-	if prev, ok := traceCache.m[path]; ok {
-		t = prev // another goroutine won the decode race; share its Trace
-	} else {
-		traceCache.m[path] = t
-	}
-	traceCache.Unlock()
-	return t, nil
 }

@@ -2,14 +2,13 @@ package gscalar
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"gscalar/internal/gpu"
 	"gscalar/internal/kernel"
+	"gscalar/internal/sm"
 	"gscalar/internal/telemetry"
 	"gscalar/internal/trace"
-	"gscalar/internal/workloads"
 )
 
 // Progress is the point-in-time snapshot passed to a Session's Observer.
@@ -65,6 +64,14 @@ type Session struct {
 	// instruction order is deterministic, and is rejected for multi-launch
 	// sequences; a run that fails or is cancelled writes no trace.
 	Capture CaptureOptions
+	// Simulate, when non-nil, runs the chip in place of
+	// gpu.RunSequenceContext. It receives the lowered chip config and the
+	// architecture's SM overlay, which it may adjust, and returns the raw
+	// chip result the public Result is derived from. Its type names packages
+	// internal to this module, so only code inside the module can set it:
+	// the experiment suite uses it for ablation overlays the Arch enum does
+	// not name, and to read chip counters Result does not carry.
+	Simulate func(ctx context.Context, cfg gpu.Config, arch sm.Arch, mem *kernel.Memory, steps []gpu.Step) (gpu.Result, error)
 
 	metrics *Metrics // telemetry of the most recently completed run
 }
@@ -178,7 +185,11 @@ func (s *Session) run(ctx context.Context, label string, scale int, mem *kernel.
 	if cap != nil {
 		g.ExecTrace = cap.Record
 	}
-	r, err := gpu.RunSequenceContext(ctx, g, s.arch.model(), mem, steps)
+	simulate := s.Simulate
+	if simulate == nil {
+		simulate = gpu.RunSequenceContext
+	}
+	r, err := simulate(ctx, g, s.arch.model(), mem, steps)
 	s.finishMetrics(rec, label)
 	err = s.finishCapture(cap, err)
 	return resultFrom(r), s.wrapErr(label, err)
@@ -202,48 +213,33 @@ func (s *Session) Run(ctx context.Context, prog *Program, launch Launch, mem *Me
 // as an error. A cancelled run skips that check — the output is necessarily
 // incomplete — and returns the partial Result with the cancellation error.
 func (s *Session) RunWorkload(ctx context.Context, spec string, scale int) (Result, error) {
-	src, err := resolveWorkload(spec)
+	w, err := ResolveWorkload(spec)
 	if err != nil {
 		return Result{}, err
 	}
+	return s.RunResolved(ctx, w, scale)
+}
+
+// RunResolved is RunWorkload for a workload already resolved with
+// ResolveWorkload: it simulates exactly the content w.Key() names.
+func (s *Session) RunResolved(ctx context.Context, w ResolvedWorkload, scale int) (Result, error) {
 	if scale < 1 {
 		scale = 1
 	}
-	inst, err := src.Build(scale)
+	inst, err := w.src.Build(scale)
 	if err != nil {
-		return Result{}, s.wrapErr(spec, err)
+		return Result{}, s.wrapErr(w.spec, err)
 	}
-	res, err := s.runInstance(ctx, spec, scale, inst)
+	res, err := s.run(ctx, w.spec, scale, inst.Mem, []gpu.Step{{Prog: inst.Prog, Launch: inst.Launch}})
 	if err != nil {
 		return res, err
 	}
 	if inst.Check != nil {
 		if err := inst.Check(); err != nil {
-			return Result{}, s.wrapErr(spec, err)
+			return Result{}, s.wrapErr(w.spec, err)
 		}
 	}
 	return res, nil
-}
-
-// resolveWorkload maps a spec onto a workload source, translating the
-// internal unknown-name error onto the package's typed UnknownWorkloadError.
-func resolveWorkload(spec string) (workloads.Source, error) {
-	src, err := workloads.Resolve(spec)
-	if err != nil {
-		var unk *workloads.UnknownError
-		if errors.As(err, &unk) {
-			return nil, errUnknownWorkload(spec)
-		}
-		return nil, fmt.Errorf("gscalar: workload %s: %w", spec, err)
-	}
-	return src, nil
-}
-
-// runInstance executes a built workload instance on the timed simulator,
-// without the golden-output check (sweeps that deliberately skip it reuse
-// this path).
-func (s *Session) runInstance(ctx context.Context, label string, scale int, inst *workloads.Instance) (Result, error) {
-	return s.run(ctx, label, scale, inst.Mem, []gpu.Step{{Prog: inst.Prog, Launch: inst.Launch}})
 }
 
 // RunSequence simulates a dependent sequence of kernel launches sharing the
@@ -266,31 +262,21 @@ func (s *Session) RunSequence(ctx context.Context, mem *Memory, seq []KernelLaun
 
 // WarpSizeSweep reproduces Figure 10: the fraction of instructions eligible
 // for 16-thread-granularity ("half-scalar"; "quarter-scalar" at warp size
-// 64) scalar execution, for each warp size. The same workload is rebuilt per
-// point so thread counts stay constant while warps widen; each point derives
-// a per-warp-size session from this one (same architecture, observer, and
-// telemetry options, with MaxWarpsPerSM rescaled to keep resident-thread
-// capacity constant). Cancelling ctx aborts the sweep at the in-flight
-// point's next lifecycle checkpoint.
+// 64) scalar execution, for each warp size. The workload is resolved once
+// and rebuilt per point, so thread counts stay constant while warps widen;
+// each point runs it (golden check included) on a per-warp-size session
+// derived from this one (same architecture, observer, and telemetry
+// options, at Config.WithWarpSize, which keeps resident-thread capacity
+// constant). Cancelling ctx aborts the sweep at the in-flight point's next
+// lifecycle checkpoint.
 func (s *Session) WarpSizeSweep(ctx context.Context, abbr string, warpSizes []int, scale int) ([]WarpSizeSweepResult, error) {
-	src, err := resolveWorkload(abbr)
+	w, err := ResolveWorkload(abbr)
 	if err != nil {
 		return nil, err
 	}
-	if scale < 1 {
-		scale = 1
-	}
 	out := make([]WarpSizeSweepResult, 0, len(warpSizes))
 	for _, ws := range warpSizes {
-		inst, err := src.Build(scale)
-		if err != nil {
-			return nil, err
-		}
-		c := s.cfg
-		c.WarpSize = ws
-		// Keep resident-thread capacity constant as warps widen.
-		c.MaxWarpsPerSM = DefaultConfig().MaxWarpsPerSM * DefaultConfig().WarpSize / ws
-		p, err := NewSession(c, s.arch)
+		p, err := NewSession(s.cfg.WithWarpSize(ws), s.arch)
 		if err != nil {
 			return nil, fmt.Errorf("gscalar: warp-size sweep at %d: %w", ws, err)
 		}
@@ -299,7 +285,7 @@ func (s *Session) WarpSizeSweep(ctx context.Context, abbr string, warpSizes []in
 		p.Telemetry = s.Telemetry
 		// Capture is deliberately not inherited: one trace file cannot hold
 		// a whole sweep of runs.
-		r, err := p.runInstance(ctx, abbr, scale, inst)
+		r, err := p.RunResolved(ctx, w, scale)
 		if err != nil {
 			return nil, fmt.Errorf("gscalar: warp-size sweep at %d: %w", ws, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -315,5 +316,37 @@ func TestTraceContentKeyStable(t *testing.T) {
 	}
 	if len(k1) != len("trace:")+64 {
 		t.Errorf("key %q, want trace:<sha256hex>", k1)
+	}
+}
+
+// TestTraceKeyFollowsOverwrite pins that a trace spec names the file's
+// current content, not whatever was first read from its path: after the
+// capture behind a path is atomically replaced by a different one, both the
+// canonical key and the replay follow the new file.
+func TestTraceKeyFollowsOverwrite(t *testing.T) {
+	_, path := captureWorkload(t, gscalar.GScalar, "HS", 1)
+	spec := "trace:" + path
+	before, err := gscalar.CanonicalWorkloadKey(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gscalar.DescribeWorkload(spec); err != nil {
+		t.Fatal(err)
+	}
+
+	live, other := captureWorkload(t, gscalar.GScalar, "MQ", 1)
+	if err := os.Rename(other, path); err != nil {
+		t.Fatal(err)
+	}
+	after, err := gscalar.CanonicalWorkloadKey(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after == before {
+		t.Fatalf("key %q did not change after the file was replaced", after)
+	}
+	replay, _ := runSpec(t, gscalar.GScalar, spec, 1, 0)
+	if got, want := resultJSON(t, replay), resultJSON(t, live); got != want {
+		t.Errorf("replay after overwrite does not match the new capture:\nreplay: %s\nlive:   %s", got, want)
 	}
 }
